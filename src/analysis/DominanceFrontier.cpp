@@ -19,7 +19,13 @@ DominanceFrontier::DominanceFrontier(const DominatorTree &DT) : DT(DT) {
     for (BasicBlock *P : B->preds()) {
       BasicBlock *Runner = P;
       while (Runner != DT.idom(B.get())) {
-        Frontiers[Runner->id()].push_back(B.get());
+        // An earlier predecessor's walk already added B from here up to
+        // idom(B); without this stop a wide join pushes O(preds^2)
+        // duplicates for the sort below to remove.
+        auto &DF = Frontiers[Runner->id()];
+        if (!DF.empty() && DF.back() == B.get())
+          break;
+        DF.push_back(B.get());
         Runner = DT.idom(Runner);
         assert(Runner && "ran past the entry while walking to idom");
       }

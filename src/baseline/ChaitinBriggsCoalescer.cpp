@@ -173,8 +173,7 @@ BriggsStats fcc::coalesceCopiesBriggs(Function &F,
           ++Stats.CopiesCoalesced;
         }
       }
-      for (Instruction *I : SelfCopies)
-        B->eraseInst(I);
+      B->eraseInsts(SelfCopies);
     }
   }
   if (Opts.Instr && Opts.Instr->Stats) {

@@ -14,7 +14,6 @@
 #include "support/Stats.h"
 
 #include <algorithm>
-#include <span>
 
 using namespace fcc;
 
@@ -78,14 +77,27 @@ FastCoalescer::FastCoalescer(Function &F, const DominatorTree &DT,
     }
   }
 
-  // Sorted-set keys so set merges and forest builds stay linear.
-  SortKey.assign(NumVars, 0);
+  // Member-set keys in dominator-tree preorder, plus each definition's
+  // dominated preorder range end for the treap's subtree queries.
+  Nodes.assign(NumVars, {});
   for (unsigned Id = 0; Id != NumVars; ++Id)
-    if (DefBlock[Id])
-      SortKey[Id] =
+    if (DefBlock[Id]) {
+      Nodes[Id].Key =
           (static_cast<uint64_t>(DT.preorder(DefBlock[Id])) << 32) |
           DefPos[Id];
+      Nodes[Id].DomEnd = DT.maxPreorder(DefBlock[Id]);
+    }
 }
+
+namespace {
+/// Deterministic treap priority: a SplitMix64 finalizer over the id.
+uint32_t treapPriority(unsigned Id) {
+  uint64_t Z = (Id + 1) * 0x9e3779b97f4a7c15ull;
+  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
+  return static_cast<uint32_t>((Z ^ (Z >> 31)) >> 32);
+}
+} // namespace
 
 void FastCoalescer::computePartition() {
   if (PartitionDone)
@@ -100,7 +112,7 @@ void FastCoalescer::computePartition() {
     Sets = UnionFind(NumVars);
     Removed.assign(NumVars, false);
     LocalPairs.clear();
-    RoundArena.reset();
+    resetMembers();
 
     {
       PhaseScope P(Opts.Instr, "fast.build-sets", "coalesce");
@@ -117,8 +129,8 @@ void FastCoalescer::computePartition() {
 
     Stats.PeakBytes += Sets.bytes() + Removed.size() / 8 +
                        LocalPairs.capacity() * sizeof(LocalPair) +
-                       MembersByRoot.capacity() * sizeof(MemberList) +
-                       RoundArena.bytesUsed();
+                       (TreeOf.capacity() + SeenStamp.capacity()) *
+                           sizeof(unsigned);
 
     // Freeze this round's survivors. Canonical member: a parameter when the
     // set contains one (the incoming value cannot be renamed away from it —
@@ -169,6 +181,7 @@ void FastCoalescer::computePartition() {
   Stats.PeakBytes += PhiDegree.capacity() * sizeof(uint64_t) +
                      DefBlock.capacity() * sizeof(BasicBlock *) +
                      DefPos.capacity() * sizeof(unsigned) +
+                     Nodes.capacity() * sizeof(TreapNode) +
                      FinalRep.capacity() * sizeof(Variable *) +
                      Active.size() / 8;
 }
@@ -240,56 +253,221 @@ bool FastCoalescer::localOverlap(unsigned ParentId, unsigned ChildId) {
          (DefBlock[ParentId] == B && DefPos[ParentId] == DefPos[ChildId]);
 }
 
-bool FastCoalescer::setsWouldInterfere(unsigned RootA, unsigned RootB) {
-  // Member lists are kept in (preorder, position) order; an empty list
-  // means the implicit singleton {root}. One merge pass feeds the Figure 1
-  // stack scan directly — the forest is never materialized, because the
-  // scan's stack at the moment member v is attached IS v's ancestor chain.
-  const auto SpanOf = [&](unsigned Root,
-                          const unsigned &Single) -> std::span<const unsigned> {
-    const MemberList &L = MembersByRoot[Root];
-    return L.Size == 0 ? std::span<const unsigned>(&Single, 1)
-                       : std::span<const unsigned>(L.Data, L.Size);
-  };
-  unsigned SingleA = RootA, SingleB = RootB;
-  std::span<const unsigned> MA = SpanOf(RootA, SingleA);
-  std::span<const unsigned> MB = SpanOf(RootB, SingleB);
+bool FastCoalescer::dominatingOverlap(unsigned AncId, unsigned Id) {
+  ++Stats.PairsChecked;
+  const BasicBlock *IdBlock = DefBlock[Id];
+  const Variable *Anc = F.variable(AncId);
+  return LV.isLiveOut(IdBlock, Anc) ||
+         (LV.isLiveIn(IdBlock, Anc) && localOverlap(AncId, Id));
+}
 
-  auto &Stack = ScratchStack;
-  Stack.clear();
-  size_t IA = 0, IB = 0;
-  while (IA != MA.size() || IB != MB.size()) {
-    unsigned Id;
-    if (IB == MB.size() ||
-        (IA != MA.size() && SortKey[MA[IA]] <= SortKey[MB[IB]]))
-      Id = MA[IA++];
-    else
-      Id = MB[IB++];
+void FastCoalescer::pull(unsigned T) {
+  TreapNode &N = Nodes[T];
+  unsigned End = N.DomEnd;
+  if (N.Left != kNone)
+    End = std::max(End, Nodes[N.Left].SubtreeEnd);
+  if (N.Right != kNone)
+    End = std::max(End, Nodes[N.Right].SubtreeEnd);
+  N.SubtreeEnd = End;
+}
 
-    const BasicBlock *IdBlock = DefBlock[Id];
-    unsigned Pre = DT.preorder(IdBlock);
-    while (!Stack.empty() &&
-           Pre > DT.maxPreorder(DefBlock[Stack.back()]))
-      Stack.pop_back();
+void FastCoalescer::treapSplit(unsigned T, uint64_t Key, unsigned &L,
+                               unsigned &R) {
+  // L receives the keys <= Key, R the rest.
+  if (T == kNone) {
+    L = R = kNone;
+    return;
+  }
+  if (Nodes[T].Key <= Key) {
+    treapSplit(Nodes[T].Right, Key, Nodes[T].Right, R);
+    L = T;
+  } else {
+    treapSplit(Nodes[T].Left, Key, L, Nodes[T].Left);
+    R = T;
+  }
+  pull(T);
+}
 
-    // Interference between members with a dominance relation is contiguous
-    // along the ancestor chain (the Lemma 3.1 region argument), so checking
-    // the same-block chain plus the nearest different-block ancestor is
-    // exhaustive.
-    for (size_t K = Stack.size(); K-- > 0;) {
-      unsigned Anc = Stack[K];
-      if (DefBlock[Anc] == IdBlock) {
-        if (localOverlap(Anc, Id))
+unsigned FastCoalescer::treapInsert(unsigned Root, unsigned X) {
+  // Descend while the current node outranks X, widening each SubtreeEnd on
+  // the way (X ends up below it), then split the subtree found there around
+  // X. X lands after every member with an equal key.
+  TreapNode &NX = Nodes[X];
+  uint32_t Priority = treapPriority(X);
+  unsigned *Link = &Root;
+  while (*Link != kNone && treapPriority(*Link) >= Priority) {
+    TreapNode &N = Nodes[*Link];
+    N.SubtreeEnd = std::max(N.SubtreeEnd, NX.DomEnd);
+    Link = NX.Key < N.Key ? &N.Left : &N.Right;
+  }
+  treapSplit(*Link, NX.Key, NX.Left, NX.Right);
+  pull(X);
+  *Link = X;
+  return Root;
+}
+
+unsigned FastCoalescer::firstAtLeast(unsigned T, uint64_t Key) const {
+  unsigned Best = kNone;
+  while (T != kNone) {
+    if (Nodes[T].Key >= Key) {
+      Best = T;
+      T = Nodes[T].Left;
+    } else {
+      T = Nodes[T].Right;
+    }
+  }
+  return Best;
+}
+
+void FastCoalescer::neighbours(unsigned T, uint64_t Key, unsigned &Prev,
+                               unsigned &Next) const {
+  Prev = Next = kNone;
+  while (T != kNone) {
+    if (Nodes[T].Key >= Key) {
+      Next = T;
+      T = Nodes[T].Left;
+    } else {
+      Prev = T;
+      T = Nodes[T].Right;
+    }
+  }
+}
+
+unsigned FastCoalescer::nearestDominator(unsigned T, unsigned Pre) const {
+  // The rightmost member among blocks with a smaller preorder whose
+  // dominated range reaches Pre. Subtrees whose SubtreeEnd falls short are
+  // skipped whole, so this is one root-to-leaf descent plus the search
+  // path for the key bound.
+  if (T == kNone || Nodes[T].SubtreeEnd < Pre)
+    return kNone;
+  if (preorderOf(T) >= Pre)
+    return nearestDominator(Nodes[T].Left, Pre);
+  if (unsigned R = nearestDominator(Nodes[T].Right, Pre); R != kNone)
+    return R;
+  if (Nodes[T].DomEnd >= Pre)
+    return T;
+  return nearestDominator(Nodes[T].Left, Pre);
+}
+
+void FastCoalescer::resetMembers() {
+  unsigned NumVars = F.numVariables();
+  TreeOf.resize(NumVars);
+  for (unsigned Id = 0; Id != NumVars; ++Id) {
+    TreapNode &N = Nodes[Id];
+    N.Left = N.Right = kNone;
+    N.SubtreeEnd = N.DomEnd;
+    TreeOf[Id] = Id;
+  }
+}
+
+void FastCoalescer::collectMembers(unsigned Root, std::vector<unsigned> &Out) {
+  unsigned T = TreeOf[Root];
+  ScratchStack.clear();
+  while (T != kNone || !ScratchStack.empty()) {
+    for (; T != kNone; T = Nodes[T].Left)
+      ScratchStack.push_back(T);
+    T = ScratchStack.back();
+    ScratchStack.pop_back();
+    Out.push_back(T);
+    T = Nodes[T].Right;
+  }
+}
+
+void FastCoalescer::mergeMembers(unsigned Keep, unsigned Lose) {
+  ScratchMembers.clear();
+  collectMembers(Lose, ScratchMembers);
+  unsigned T = TreeOf[Keep];
+  for (unsigned X : ScratchMembers) {
+    Nodes[X].Left = Nodes[X].Right = kNone;
+    Nodes[X].SubtreeEnd = Nodes[X].DomEnd;
+    T = treapInsert(T, X);
+  }
+  TreeOf[Keep] = T;
+}
+
+bool FastCoalescer::setsWouldInterfere(unsigned Keep, unsigned Lose) {
+  // The Figure 1 stack scan of the merged member list checks, for each
+  // member v, every earlier member of v's block and v's nearest member in
+  // a strictly dominating block. Each set on its own already passed that
+  // scan when it was formed, and every same-set pair the merged scan
+  // checks is one the set's own scan checked (DESIGN.md). So only the
+  // cross pairs can interfere, and those are found by treap queries around
+  // each member of the smaller set S = Lose against the larger L = Keep.
+  // Where the scan would check a run of pairs whose outcome is monotone in
+  // the definition position, only the run's first pair is tested.
+  const unsigned L = TreeOf[Keep], S = TreeOf[Lose];
+  ScratchMembers.clear();
+  collectMembers(Lose, ScratchMembers);
+  const std::vector<unsigned> &Small = ScratchMembers;
+
+  for (size_t I = 0; I != Small.size(); ++I) {
+    unsigned V = Small[I];
+    const BasicBlock *Block = DefBlock[V];
+    unsigned Pre = preorderOf(V);
+
+    // Around V the pairs are tested in the order the merged scan meets
+    // them. Parallel definitions (equal keys) always clash.
+    unsigned Prev, Next;
+    neighbours(L, Nodes[V].Key, Prev, Next);
+    bool NextInBlock = Next != kNone && DefBlock[Next] == Block;
+    if (NextInBlock && Nodes[Next].Key == Nodes[V].Key) {
+      ++Stats.PairsChecked;
+      return true;
+    }
+
+    // An earlier member of L in V's block. One that died before its L
+    // successor's definition dies before V's too, so only V's immediate L
+    // predecessor can overlap V.
+    if (Prev != kNone && DefBlock[Prev] == Block) {
+      ++Stats.PairsChecked;
+      if (localOverlap(Prev, V))
+        return true;
+    }
+
+    // V's nearest merged ancestor in a strictly dominating block, when it
+    // comes from L. Later S members of the block share that ancestor and
+    // overlap it only if the first one does.
+    if (I == 0 || DefBlock[Small[I - 1]] != Block) {
+      unsigned AncL = nearestDominator(L, Pre);
+      if (AncL != kNone) {
+        unsigned AncS = nearestDominator(S, Pre);
+        if ((AncS == kNone || Nodes[AncS].Key < Nodes[AncL].Key) &&
+            dominatingOverlap(AncL, V))
           return true;
+      }
+    }
+
+    // A later member of L in V's block overlaps V only if the first does.
+    if (NextInBlock) {
+      ++Stats.PairsChecked;
+      if (localOverlap(V, Next))
+        return true;
+    }
+
+    // L members whose nearest merged ancestor becomes V: the first L member
+    // of every L block in V's dominator subtree that no member between
+    // them dominates. Only the last S member of a block can be such an
+    // ancestor, and not when an L member follows it in the block. Walk the
+    // subtree's preorder range, jumping over the subtree of each L block
+    // found and of each S block met first.
+    bool LastInBlock = I + 1 == Small.size() || DefBlock[Small[I + 1]] != Block;
+    if (!LastInBlock || NextInBlock)
+      continue;
+    unsigned End = Nodes[V].DomEnd;
+    for (unsigned P = Pre + 1; P <= End;) {
+      uint64_t From = static_cast<uint64_t>(P) << 32;
+      unsigned W = firstAtLeast(L, From);
+      if (W == kNone || preorderOf(W) > End)
+        break;
+      unsigned C = firstAtLeast(S, From);
+      if (C != kNone && preorderOf(C) < preorderOf(W)) {
+        P = Nodes[C].DomEnd + 1;
         continue;
       }
-      if (LV.isLiveOut(IdBlock, F.variable(Anc)))
+      if (dominatingOverlap(V, W))
         return true;
-      if (LV.isLiveIn(IdBlock, F.variable(Anc)) && localOverlap(Anc, Id))
-        return true;
-      break;
+      P = Nodes[W].DomEnd + 1;
     }
-    Stack.push_back(Id);
   }
   return false;
 }
@@ -297,11 +475,9 @@ bool FastCoalescer::setsWouldInterfere(unsigned RootA, unsigned RootB) {
 /// Phase 1 (Section 3.1): optimistic unions with five filtering tests (and,
 /// in eager mode, the exhaustive set-versus-set forest check).
 void FastCoalescer::buildInitialSets() {
-  // An empty member list stands for the implicit singleton {root}, so this
-  // allocates nothing until sets actually merge; merged lists bump-allocate
-  // out of RoundArena.
-  MembersByRoot.assign(F.numVariables(), {});
   ClaimedBy.resizeUniverse(F.numVariables());
+  SeenStamp.assign(F.numBlocks(), 0);
+  unsigned Stamp = 0;
 
   // Deterministic dominator-tree preorder over blocks.
   for (BasicBlock *B : DT.preorderBlocks()) {
@@ -313,8 +489,9 @@ void FastCoalescer::buildInitialSets() {
       Variable *P = Phi->getDef();
       if (!Active[P->id()])
         continue; // Frozen in an earlier round.
-      // Filter 5 state: defining blocks of this phi's accepted arguments.
-      SeenDefBlocks.clear();
+      // Filter 5 state: blocks stamped with this phi's stamp define one of
+      // its accepted arguments.
+      ++Stamp;
 
       for (unsigned Idx = 0, E = Phi->getNumOperands(); Idx != E; ++Idx) {
         const Operand &O = Phi->getOperand(Idx);
@@ -343,8 +520,7 @@ void FastCoalescer::buildInitialSets() {
                      ClaimedBy.lookup(Sets.find(A->id()));
                  Claimant && *Claimant != Phi.get())
           RejectedBy = 4; // Another phi of this block claimed a's set.
-        else if (std::find(SeenDefBlocks.begin(), SeenDefBlocks.end(),
-                           ADef) != SeenDefBlocks.end())
+        else if (SeenStamp[ADef->id()] == Stamp)
           RejectedBy = 5; // Two arguments of this phi share a block.
 
         if (RejectedBy != 0 && Opts.UseFilters) {
@@ -357,9 +533,13 @@ void FastCoalescer::buildInitialSets() {
           continue; // The copy materializes from the partition at rewrite.
         }
 
+        // UnionFind::unite keeps the larger set's root (RootP on a tie).
         unsigned RootP = Sets.find(P->id());
         unsigned RootA = Sets.find(A->id());
-        if (Opts.EagerSetChecks && setsWouldInterfere(RootP, RootA)) {
+        unsigned Keep =
+            Sets.setSize(RootP) < Sets.setSize(RootA) ? RootA : RootP;
+        unsigned Lose = Keep == RootP ? RootA : RootP;
+        if (Opts.EagerSetChecks && setsWouldInterfere(Keep, Lose)) {
           ++Stats.FilterRejections;
           if (Opts.Trace)
             std::fprintf(Opts.Trace,
@@ -369,31 +549,10 @@ void FastCoalescer::buildInitialSets() {
                          B->name().c_str());
           continue;
         }
-        unsigned NewRoot = Sets.unite(RootP, RootA);
-        unsigned OldRoot = NewRoot == RootP ? RootA : RootP;
-        {
-          // Merge the (possibly implicit-singleton) sorted member lists
-          // into a fresh arena array; the source arrays become arena
-          // garbage reclaimed wholesale at the next round's reset.
-          unsigned KeepSingle = NewRoot, LoseSingle = OldRoot;
-          const MemberList &KeepList = MembersByRoot[NewRoot];
-          const MemberList &LoseList = MembersByRoot[OldRoot];
-          const unsigned *KeepData =
-              KeepList.Size ? KeepList.Data : &KeepSingle;
-          unsigned KeepSize = KeepList.Size ? KeepList.Size : 1;
-          const unsigned *LoseData =
-              LoseList.Size ? LoseList.Data : &LoseSingle;
-          unsigned LoseSize = LoseList.Size ? LoseList.Size : 1;
-          unsigned *Into =
-              RoundArena.allocateArray<unsigned>(KeepSize + LoseSize);
-          std::merge(KeepData, KeepData + KeepSize, LoseData,
-                     LoseData + LoseSize, Into, [&](unsigned L, unsigned R) {
-                       return SortKey[L] < SortKey[R];
-                     });
-          MembersByRoot[NewRoot] = {Into, KeepSize + LoseSize};
-          MembersByRoot[OldRoot] = {};
-        }
-        SeenDefBlocks.push_back(ADef);
+        [[maybe_unused]] unsigned NewRoot = Sets.unite(RootP, RootA);
+        assert(NewRoot == Keep && "unite kept the other root");
+        mergeMembers(Keep, Lose);
+        SeenStamp[ADef->id()] = Stamp;
       }
       ClaimedBy[Sets.find(P->id())] = Phi.get();
     }
@@ -411,20 +570,19 @@ void FastCoalescer::walkForests() {
   }
   unsigned NumVars = F.numVariables();
 
-  // The member lists are maintained by phase 1 (sorted, empty = singleton);
-  // only multi-member sets need a forest.
+  // Phase 1 maintains each set's members in key order; only multi-member
+  // sets need a forest.
+  std::vector<unsigned> Members;
   for (unsigned Root = 0; Root != NumVars; ++Root) {
-    const MemberList &Members = MembersByRoot[Root];
-    if (Members.Size < 2)
+    if (Sets.find(Root) != Root || Sets.setSize(Root) < 2)
       continue;
-    assert(Sets.findConst(Root) == Root && "member list on a non-root");
+    Members.clear();
+    collectMembers(Root, Members);
 
     std::vector<ForestMember> FM;
-    FM.reserve(Members.Size);
-    for (unsigned I = 0; I != Members.Size; ++I) {
-      unsigned Id = Members.Data[I];
+    FM.reserve(Members.size());
+    for (unsigned Id : Members)
       FM.push_back({F.variable(Id), DefBlock[Id], DefPos[Id]});
-    }
     DominanceForest Forest(std::move(FM), DT, /*PreSorted=*/true);
     Stats.PeakBytes = std::max(Stats.PeakBytes, Forest.bytes());
 
@@ -622,8 +780,9 @@ FastCoalesceStats FastCoalescer::rewrite() {
 
   // Rename defs and uses to representatives; drop copies that became
   // self-copies (that is the coalescing taking effect on explicit copies).
+  std::vector<Instruction *> SelfCopies;
   for (const auto &B : F.blocks()) {
-    std::vector<Instruction *> SelfCopies;
+    SelfCopies.clear();
     for (const auto &I : B->insts()) {
       I->forEachUse([&](Operand &O) { O.setVar(rep(O.getVar())); });
       if (Variable *Def = I->getDef())
@@ -631,8 +790,7 @@ FastCoalesceStats FastCoalescer::rewrite() {
       if (I->isCopy() && I->getDef() == I->getOperand(0).getVar())
         SelfCopies.push_back(I.get());
     }
-    for (Instruction *I : SelfCopies)
-      B->eraseInst(I);
+    B->eraseInsts(SelfCopies);
   }
 
   // Materialize the pending copies and delete the phis.
@@ -667,6 +825,7 @@ FastCoalesceStats FastCoalescer::rewrite() {
     R.bump("fast.local-evictions", Stats.LocalEvictions);
     R.bump("fast.sets-renamed", Stats.SetsRenamed);
     R.bump("fast.rounds", Stats.Rounds);
+    R.bump("fast.pairs-checked", Stats.PairsChecked);
   }
   return Stats;
 }

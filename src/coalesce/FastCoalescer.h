@@ -19,7 +19,13 @@
 ///     `Waiting[]` copies as parallel copies per edge (Section 3.6), which
 ///     makes the swap and virtual-swap orderings safe by construction.
 ///
-/// Total complexity O(n alpha(n)) in the number of phi operands.
+/// Cost. Each member set is a treap keyed by (dominator preorder, position)
+/// and threaded through per-variable arrays. Union-find is near-linear.
+/// An eager union merges the smaller set S into the larger set L. It costs
+/// O((|S| + e) log |L|), where e is the number of L members whose nearest
+/// dominating member becomes an S member. Small-into-large merging bounds
+/// the sum of |S| by O(n log n) over a round, and by O(n) for the common
+/// phi web that grows one argument at a time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,6 +67,9 @@ struct FastCoalesceStats {
   /// Coalescing rounds run (1 without evictions or with the re-coalescing
   /// heuristic disabled).
   unsigned Rounds = 0;
+  /// Liveness-backed pair tests made by the eager set check (a
+  /// deterministic work count; 0 in lazy mode).
+  uint64_t PairsChecked = 0;
   /// Peak bytes of the pass's data structures (union-find, forests,
   /// pending-copy lists). Liveness and dominance are accounted by callers,
   /// since they are shared analyses.
@@ -117,6 +126,11 @@ public:
   /// liveness of \p F in its current (SSA) state.
   FastCoalescer(Function &F, const DominatorTree &DT, const Liveness &LV,
                 const FastCoalescerOptions &Opts = FastCoalescerOptions());
+  virtual ~FastCoalescer() = default;
+  FastCoalescer(const FastCoalescer &) = delete;
+  FastCoalescer &operator=(const FastCoalescer &) = delete;
+  FastCoalescer(FastCoalescer &&) = delete;
+  FastCoalescer &operator=(FastCoalescer &&) = delete;
 
   /// Phases 1-4: decides which SSA names share a location. Idempotent.
   void computePartition();
@@ -129,6 +143,36 @@ public:
   FastCoalesceStats rewrite();
 
   const FastCoalesceStats &stats() const { return Stats; }
+
+protected:
+  // Member-set storage. Phase 1 calls these four hooks; the lazy forest
+  // walk reads the sets back through collectMembers(). The shipped
+  // implementation keeps one treap per set. The differential oracle's
+  // reference (fuzz/ReferenceCoalescer.h) substitutes sorted arrays and
+  // the full Figure 1 rescan and must reach the same partition.
+
+  /// Makes every variable a singleton set (start of a round).
+  virtual void resetMembers();
+  /// Eager mode: would merging set \p Lose into set \p Keep create a pair
+  /// of simultaneously-live members? \p Keep is the root UnionFind::unite
+  /// keeps, so it is never the smaller set.
+  virtual bool setsWouldInterfere(unsigned Keep, unsigned Lose);
+  /// Moves \p Lose's members into \p Keep's set. Members with equal keys
+  /// keep their order, and \p Keep's come first.
+  virtual void mergeMembers(unsigned Keep, unsigned Lose);
+  /// Appends the members of root \p Root's set to \p Out in key order.
+  virtual void collectMembers(unsigned Root, std::vector<unsigned> &Out);
+
+  /// The Section 3.4 in-block test: does \p ParentId (live into or defined
+  /// in \p ChildId's block) overlap \p ChildId there?
+  bool localOverlap(unsigned ParentId, unsigned ChildId);
+
+  Function &F;
+  const DominatorTree &DT;
+  const Liveness &LV;
+  std::vector<BasicBlock *> DefBlock; // by variable id
+  /// Member order: (preorder of the defining block << 32 | position).
+  uint64_t sortKey(unsigned Id) const { return Nodes[Id].Key; }
 
 private:
   struct LocalPair {
@@ -143,28 +187,33 @@ private:
   /// Copies this member's eviction would insert (possibly depth weighted).
   uint64_t cost(unsigned VarId) const { return PhiDegree[VarId]; }
   bool isMerged(unsigned A, unsigned B);
-  /// Eager mode: would merging the sets of \p RootA and \p RootB create a
-  /// pair of simultaneously-live members?
-  bool setsWouldInterfere(unsigned RootA, unsigned RootB);
   /// Position of \p VarId's last in-block use in \p B (0 when unused).
   unsigned lastUseIn(const BasicBlock *B, unsigned VarId);
-  /// The Section 3.4 in-block test: does \p ParentId (live into or defined
-  /// in \p ChildId's block) overlap \p ChildId there?
-  bool localOverlap(unsigned ParentId, unsigned ChildId);
+  /// The cross-block test of the Figure 1 scan: does \p AncId, defined in
+  /// a block strictly dominating \p Id's block, overlap \p Id?
+  bool dominatingOverlap(unsigned AncId, unsigned Id);
 
-  Function &F;
-  const DominatorTree &DT;
-  const Liveness &LV;
+  // Treap over one set's members, ordered by key.
+  unsigned preorderOf(unsigned Id) const {
+    return static_cast<unsigned>(Nodes[Id].Key >> 32);
+  }
+  void pull(unsigned T);
+  unsigned treapInsert(unsigned Root, unsigned X);
+  void treapSplit(unsigned T, uint64_t Key, unsigned &L, unsigned &R);
+  /// First member of treap \p T with key >= \p Key (kNone if none).
+  unsigned firstAtLeast(unsigned T, uint64_t Key) const;
+  /// The last member of treap \p T with key < \p Key and the first with
+  /// key >= \p Key (kNone where there is none).
+  void neighbours(unsigned T, uint64_t Key, unsigned &Prev,
+                  unsigned &Next) const;
+  /// Last member of treap \p T whose block strictly dominates the block
+  /// with preorder \p Pre (kNone if none).
+  unsigned nearestDominator(unsigned T, unsigned Pre) const;
+
   FastCoalescerOptions Opts;
   FastCoalesceStats Stats;
   bool PartitionDone = false;
 
-  /// A root's sorted member-id list. The ids live in RoundArena; an empty
-  /// list stands for the implicit singleton {root}.
-  struct MemberList {
-    const unsigned *Data = nullptr;
-    unsigned Size = 0;
-  };
   /// A block's last-use positions as a (var id, position) array sorted by
   /// id, allocated in CacheArena and binary-searched by lastUseIn().
   struct LastUseList {
@@ -172,17 +221,19 @@ private:
     unsigned Size = 0;
   };
 
-  // Per-round state (reset between rounds). Member lists bump-allocate out
-  // of RoundArena — merges leave the dead halves behind and reset() reclaims
-  // everything at once — so a round performs no per-set allocation.
+  static constexpr unsigned kNone = ~0u;
+
+  // Per-round state (reset between rounds). Each set's members form a
+  // treap threaded through Nodes, so a round performs no per-set
+  // allocation.
   UnionFind Sets;
   std::vector<bool> Removed; // evicted members, by variable id
   std::vector<LocalPair> LocalPairs;
-  Arena RoundArena{4096};
-  std::vector<MemberList> MembersByRoot;              // eager mode
-  std::vector<unsigned> ScratchStack; // reused by setsWouldInterfere
+  std::vector<unsigned> TreeOf;      // treap root, by set root
+  std::vector<unsigned> ScratchStack;   // treap traversal
+  std::vector<unsigned> ScratchMembers; // the smaller set, in key order
   SparseMap<const Instruction *> ClaimedBy;           // reused per block
-  std::vector<const BasicBlock *> SeenDefBlocks;      // reused per phi
+  std::vector<unsigned> SeenStamp; // filter 5, by block id, reused per phi
   SparseMap<unsigned> LastUseScratch;                 // reused per block
   Arena CacheArena{4096};            // valid across rounds (code is stable)
   std::vector<LastUseList> LastUseCache;              // lazily per block
@@ -191,9 +242,17 @@ private:
   std::vector<bool> Active;          // still seeking a set, by variable id
   std::vector<Variable *> FinalRep;  // frozen location, by variable id
   std::vector<uint64_t> PhiDegree;   // (weighted) phi connections
-  std::vector<BasicBlock *> DefBlock; // by variable id
   std::vector<unsigned> DefPos;       // by variable id
-  std::vector<uint64_t> SortKey;      // (preorder << 32 | pos), by var id
+  /// One treap node per variable. Key and DomEnd hold for the whole run;
+  /// the links and SubtreeEnd are reset every round.
+  struct TreapNode {
+    uint64_t Key = 0;
+    unsigned DomEnd = 0;     ///< maxPreorder of the defining block.
+    unsigned Left = kNone;
+    unsigned Right = kNone;
+    unsigned SubtreeEnd = 0; ///< Largest DomEnd in the subtree.
+  };
+  std::vector<TreapNode> Nodes; // by variable id
 };
 
 /// Convenience wrapper: computes the partition and rewrites in one call.

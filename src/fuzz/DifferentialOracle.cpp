@@ -8,6 +8,7 @@
 #include "baseline/ChaitinBriggsCoalescer.h"
 #include "coalesce/CoalescingChecker.h"
 #include "coalesce/FastCoalescer.h"
+#include "fuzz/ReferenceCoalescer.h"
 #include "interp/Interpreter.h"
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
@@ -417,6 +418,8 @@ const char *fcc::divergenceKindName(DivergenceKind Kind) {
     return "alloc-unsound";
   case DivergenceKind::AnalysisMismatch:
     return "analysis-mismatch";
+  case DivergenceKind::CoalescerMismatch:
+    return "coalescer-mismatch";
   case DivergenceKind::InternalError:
     return "internal-error";
   }
@@ -592,6 +595,40 @@ OracleResult fcc::runDifferentialOracle(const std::string &IrText,
         if (!crossValidateAnalyses(F, Detail))
           Result.Divergences.push_back(
               {DivergenceKind::AnalysisMismatch, Config, Detail});
+      } catch (const std::exception &E) {
+        Result.Divergences.push_back(
+            {DivergenceKind::InternalError, Config, E.what()});
+      }
+    }
+  }
+
+  // Coalescer cross-check: the shipped incremental set building against
+  // the full-rescan reference over pruned+fold SSA of every function, with
+  // eager checks on and off.
+  {
+    std::string ParseError;
+    std::unique_ptr<Module> M = parseModule(IrText, ParseError);
+    for (unsigned FI = 0; M && FI != NumFuncs; ++FI) {
+      Function &F = *M->functions()[FI];
+      std::string Config = "@" + F.name() + " coalescer-crosscheck";
+      ++Result.ConfigsRun;
+      try {
+        splitCriticalEdges(F);
+        DominatorTree DT(F);
+        SSABuildOptions Build;
+        Build.FoldCopies = true;
+        buildSSA(F, DT, Build);
+        Liveness LV(F);
+        for (bool Eager : {true, false}) {
+          FastCoalescerOptions CO;
+          CO.EagerSetChecks = Eager;
+          std::string Detail;
+          if (!compareWithReference(F, DT, LV, CO, Detail)) {
+            Result.Divergences.push_back(
+                {DivergenceKind::CoalescerMismatch, Config, Detail});
+            break;
+          }
+        }
       } catch (const std::exception &E) {
         Result.Divergences.push_back(
             {DivergenceKind::InternalError, Config, E.what()});

@@ -22,7 +22,10 @@
 ///     dominator algorithms must decorate identical trees and the sparse
 ///     and dense liveness solvers must fill identical sets on every input
 ///     (checked directly, bit for bit, plus an end-to-end configuration
-///     that runs the paper pipeline under the legacy analyses).
+///     that runs the paper pipeline under the legacy analyses);
+///   - the fast coalescer's incremental set building reaches the same
+///     partition as the full-rescan reference (fuzz/ReferenceCoalescer.h),
+///     in eager and in lazy mode.
 ///
 /// Everything is deterministic: a fixed input text and OracleOptions always
 /// produce the same verdict, which is what lets the fuzz driver shard runs
@@ -80,6 +83,8 @@ enum class DivergenceKind {
                     ///< live across it occupies (copy sources exempt).
   AnalysisMismatch, ///< DSU vs CHK dominators or sparse vs dense liveness
                     ///< disagreed on the same function.
+  CoalescerMismatch, ///< FastCoalescer's partition differs from the
+                     ///< full-rescan reference (fuzz/ReferenceCoalescer.h).
   InternalError,    ///< A pass threw; captured, remaining configs still ran.
 };
 

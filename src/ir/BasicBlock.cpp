@@ -52,6 +52,22 @@ void BasicBlock::eraseInst(Instruction *I) {
   Insts.erase(It);
 }
 
+void BasicBlock::eraseInsts(std::span<Instruction *const> Doomed) {
+  size_t Next = 0, Out = 0;
+  for (size_t In = 0, E = Insts.size(); In != E; ++In) {
+    if (Next != Doomed.size() && Insts[In].get() == Doomed[Next]) {
+      ++Next; // Freed when a survivor moves over it, or by the resize.
+      continue;
+    }
+    if (Out != In)
+      Insts[Out] = std::move(Insts[In]);
+    ++Out;
+  }
+  assert(Next == Doomed.size() &&
+         "instructions not in this block, or not in block order");
+  Insts.resize(Out);
+}
+
 std::unique_ptr<Instruction> BasicBlock::takeInst(Instruction *I) {
   assert(!I->isTerminator() && "terminators cannot be detached");
   auto It = std::find_if(Insts.begin(), Insts.end(),

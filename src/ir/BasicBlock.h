@@ -13,6 +13,7 @@
 
 #include "ir/Instruction.h"
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,10 @@ public:
 
   /// Removes the non-phi instruction \p I from the block.
   void eraseInst(Instruction *I);
+
+  /// Removes the non-phi instructions \p Doomed, listed in block order, in
+  /// one sweep over the body (eraseInst() per instruction is quadratic).
+  void eraseInsts(std::span<Instruction *const> Doomed);
 
   /// Detaches the non-terminator body instruction \p I, returning ownership
   /// so a pass can re-insert it elsewhere (code motion).

@@ -28,7 +28,7 @@ public:
       Stacks[P->id()].push_back(P);
   }
 
-  void run() { renameBlock(F.entry()); }
+  void run();
 
 private:
   Variable *fresh(Variable *Orig) {
@@ -57,6 +57,8 @@ private:
       O = Operand::imm(0);
   }
 
+  /// Renames \p B's phis and body and fills its successors' phi operands,
+  /// recording the names it pushes and the copies it folds.
   void renameBlock(BasicBlock *B);
 
   Function &F;
@@ -66,13 +68,46 @@ private:
   std::vector<unsigned> Counter;               // indexed by original var id
   unsigned NumOriginals;
   SSABuildStats &Stats;
-};
-
-void Renamer::renameBlock(BasicBlock *B) {
-  // Track pushes so we can pop on exit, and collect folded copies to erase.
+  // Names pushed and copies folded along the current dominator-tree path,
+  // in order; each open block owns a suffix of both.
   std::vector<Variable *> Pushed;
   std::vector<Instruction *> Folded;
+};
 
+void Renamer::run() {
+  // Preorder over the dominator tree with an explicit stack: a long
+  // straight chain makes the tree as deep as the function is long. A block
+  // is closed after all of its children: its folded copies are erased and
+  // its names popped in reverse.
+  struct Frame {
+    BasicBlock *B;
+    size_t NextChild;
+    size_t PushedMark;
+    size_t FoldedMark;
+  };
+  std::vector<Frame> Open;
+  auto Enter = [&](BasicBlock *B) {
+    Open.push_back({B, 0, Pushed.size(), Folded.size()});
+    renameBlock(B);
+  };
+  Enter(F.entry());
+  while (!Open.empty()) {
+    Frame &Top = Open.back();
+    const std::vector<BasicBlock *> &Kids = DT.children(Top.B);
+    if (Top.NextChild != Kids.size()) {
+      Enter(Kids[Top.NextChild++]); // Invalidates Top.
+      continue;
+    }
+    Top.B->eraseInsts(std::span(Folded).subspan(Top.FoldedMark));
+    Folded.resize(Top.FoldedMark);
+    for (size_t I = Pushed.size(); I-- != Top.PushedMark;)
+      Stacks[Pushed[I]->id()].pop_back();
+    Pushed.resize(Top.PushedMark);
+    Open.pop_back();
+  }
+}
+
+void Renamer::renameBlock(BasicBlock *B) {
   // Phi definitions first: they define at the top of the block.
   for (const auto &Phi : B->phis()) {
     Variable *Orig = Phi->getDef();
@@ -125,15 +160,6 @@ void Renamer::renameBlock(BasicBlock *B) {
         rewriteUse(O);
     }
   }
-
-  // Recurse over dominator-tree children.
-  for (BasicBlock *C : DT.children(B))
-    renameBlock(C);
-
-  for (Instruction *I : Folded)
-    B->eraseInst(I);
-  for (auto It = Pushed.rbegin(), E = Pushed.rend(); It != E; ++It)
-    Stacks[(*It)->id()].pop_back();
 }
 
 } // namespace
