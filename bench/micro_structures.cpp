@@ -64,7 +64,7 @@ void BM_Liveness(benchmark::State &State) {
   Function &F = *bigModule().functions()[0];
   for (auto _ : State) {
     Liveness LV(F);
-    benchmark::DoNotOptimize(LV.liveIn(F.entry()).count());
+    benchmark::DoNotOptimize(LV.liveIn(F.entry()).size());
   }
 }
 BENCHMARK(BM_Liveness);

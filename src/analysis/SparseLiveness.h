@@ -1,34 +1,15 @@
-//===- analysis/SparseLiveness.h - Per-variable liveness --------*- C++ -*-===//
+//===- analysis/SparseLiveness.h - SSA-checked liveness ---------*- C++ -*-===//
 ///
 /// \file
-/// Sparse SSA liveness: instead of iterating dense bitset equations to a
-/// fixed point, walk each variable's live region directly. Under strict SSA
-/// every variable has exactly one definition, so "v is live at p" reduces to
-/// backward reachability from v's uses to its defining block:
-///
-///   - a direct (non-phi) use in block b makes v live-in at b (unless b is
-///     the defining block) and live-out of every path back to the
-///     definition;
-///   - a phi operand in slot j makes v live-out of predecessor j — and only
-///     that, never live-in of the phi's block — which is exactly the
-///     Section 3.1 phi convention the dense solver implements;
-///   - phi results are defined at the top of their block.
-///
-/// The walk marks live-out bits as it climbs predecessors and stops at the
-/// defining block or at an already-marked block, so each (variable, block)
-/// pair is visited at most once: O(program size + sum of live-range sizes),
-/// versus the dense solver's O(iterations * blocks * variables / 64).
-///
-/// The solver writes into the same flat storage as the dense algorithm (it
-/// is Liveness::solveSparse; both allocate one 2 * blocks * words-per-set
-/// buffer), so the two algorithms' sets are bit-identical and bytes()
-/// reports the same committed footprint either way. SparseLiveness below is
-/// the named constructor benches and tests use.
-///
-/// Preconditions are checked, not assumed: a second definition of any
-/// variable, a use before the definition inside the defining block, or a
-/// use of a never-defined variable throws std::invalid_argument. (The dense
-/// solver tolerates all three; anything non-SSA must keep using it.)
+/// Liveness over input that must be strict SSA. It runs the one
+/// per-variable solver of analysis/Liveness.h and fills the same two CSR
+/// tables (per-block sorted lists of live variable ids), so its sets and
+/// bytes() are identical to Liveness(F) on the same function. What it adds
+/// are checked preconditions: a second definition of any variable, a use
+/// above the definition inside the defining block, or a use of a
+/// never-defined variable throws std::invalid_argument. Code that assumes
+/// SSA uses it so that a violation is an error instead of a silent
+/// difference.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +20,7 @@
 
 namespace fcc {
 
-/// Liveness solved with the sparse per-variable algorithm. Identical
-/// interface, storage and results as Liveness(F, LivenessAlgorithm::Sparse);
-/// bytes() is inherited and already reports the committed flat-buffer size.
+/// Liveness(F, LivenessAlgorithm::Sparse) under its own name.
 class SparseLiveness : public Liveness {
 public:
   explicit SparseLiveness(const Function &F)

@@ -33,7 +33,7 @@ InterferenceGraph::InterferenceGraph(const Function &F, const Liveness &LV,
 
   // Chaitin's backward walk per block.
   for (const auto &B : F.blocks()) {
-    IndexSet Live(LV.liveOut(B.get()));
+    IndexSet Live(F.numVariables(), LV.liveOut(B.get()));
 
     for (auto It = B->insts().rbegin(), E = B->insts().rend(); It != E;
          ++It) {

@@ -28,7 +28,7 @@ bool fcc::checkCoalescing(const Function &F, const Liveness &LV,
       break;
     // Walk backward from the block-boundary live set. Note liveOut already
     // contains values read by successor phis along our out-edges.
-    IndexSet Live(LV.liveOut(B.get()));
+    IndexSet Live(F.numVariables(), LV.liveOut(B.get()));
 
     for (auto It = B->insts().rbegin(), E = B->insts().rend(); It != E;
          ++It) {

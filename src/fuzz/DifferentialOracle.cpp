@@ -9,6 +9,7 @@
 #include "coalesce/CoalescingChecker.h"
 #include "coalesce/FastCoalescer.h"
 #include "fuzz/ReferenceCoalescer.h"
+#include "fuzz/ReferenceLiveness.h"
 #include "interp/Interpreter.h"
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
@@ -22,6 +23,7 @@
 #include "regalloc/SpillRewriter.h"
 #include "ssa/SSABuilder.h"
 #include "ssa/StandardDestruction.h"
+#include "support/SparseSet.h"
 #include "support/SplitMix64.h"
 
 #include <cstring>
@@ -198,12 +200,13 @@ bool runConfig(Function &F, const OracleConfig &C, std::string &Error) {
   return true;
 }
 
-/// Direct analysis cross-validation: on one fresh copy of the function,
-/// build dominators with both algorithms and liveness (over pruned+fold
-/// SSA) with both solvers, and demand bit-identical results — idom,
-/// preorder and max-preorder per block, every live-in/live-out word per
-/// block. Catches any divergence long before it could bias a pipeline
-/// comparison. Returns false with \p Detail set to the first disagreement.
+/// Direct analysis cross-validation on one fresh copy of the function:
+/// build dominators with both algorithms and demand identical results —
+/// idom, preorder and max-preorder per block — then check liveness against
+/// the dense reference on the pre-SSA input and, in both solver modes, on
+/// its pruned+fold SSA form. Catches any divergence long before it could
+/// bias a pipeline comparison. Returns false with \p Detail set to the
+/// first disagreement.
 bool crossValidateAnalyses(Function &F, std::string &Detail) {
   splitCriticalEdges(F);
   DominatorTree Chk(F, DomAlgorithm::CHK);
@@ -228,28 +231,33 @@ bool crossValidateAnalyses(Function &F, std::string &Detail) {
     }
   }
 
+  if (!compareLiveness(F, Liveness(F), Detail)) {
+    Detail = "pre-ssa " + Detail;
+    return false;
+  }
   SSABuildOptions Build;
   Build.FoldCopies = true;
   buildSSA(F, Chk, Build);
-  Liveness Dense(F, LivenessAlgorithm::Dense);
-  Liveness Sparse(F, LivenessAlgorithm::Sparse);
-  for (const auto &B : F.blocks()) {
-    auto Differs = [](IndexSetView A, IndexSetView B2) {
-      for (size_t W = 0; W != A.numWords(); ++W)
-        if (A.words()[W] != B2.words()[W])
-          return true;
-      return false;
-    };
-    if (Differs(Dense.liveIn(B.get()), Sparse.liveIn(B.get()))) {
-      Detail = "live-in(" + B->name() + "): dense != sparse";
+  for (LivenessAlgorithm Algo :
+       {LivenessAlgorithm::Dense, LivenessAlgorithm::Sparse})
+    if (!compareLiveness(F, Liveness(F, Algo), Detail)) {
+      Detail = std::string("ssa ") +
+               (Algo == LivenessAlgorithm::Sparse ? "sparse " : "dense ") +
+               Detail;
       return false;
     }
-    if (Differs(Dense.liveOut(B.get()), Sparse.liveOut(B.get()))) {
-      Detail = "live-out(" + B->name() + "): dense != sparse";
-      return false;
-    }
-  }
   return true;
+}
+
+/// Liveness of non-SSA code a configuration produced (Briggs* output,
+/// spill-rewritten code) against the dense reference. Appends one
+/// AnalysisMismatch divergence on disagreement.
+void crossCheckLiveness(const Function &F, const std::string &Config,
+                        std::vector<Divergence> &Out) {
+  std::string Detail;
+  if (!compareLiveness(F, Liveness(F), Detail))
+    Out.push_back({DivergenceKind::AnalysisMismatch,
+                   Config + " analysis-crosscheck", Detail});
 }
 
 /// Validates \p Alloc against liveness computed from scratch: walking each
@@ -270,48 +278,51 @@ bool crossValidateAnalyses(Function &F, std::string &Detail) {
 bool checkAllocation(const Function &F, const RegAllocResult &Alloc,
                      std::string &Error) {
   Liveness LV(F);
-  unsigned NumVars = F.numVariables();
   auto RegOf = [&](unsigned Id) -> int {
     return Id < Alloc.RegisterOf.size() ? Alloc.RegisterOf[Id] : -1;
   };
-  std::vector<bool> Live(NumVars, false);
+  // The running live set of the backward scan: seeded from the block's
+  // live-out list, so each block costs O(live-out + instructions * live)
+  // instead of a sweep over every variable.
+  SparseSet Live(F.numVariables());
   // Does defining \p Def clobber a live variable? \p Exempt is the copy
   // source (or null): dead defs still write their register, so the scan
-  // runs whether or not \p Def was live.
+  // runs whether or not \p Def was live. Reports the lowest-id clash.
   auto DefClash = [&](const Variable *Def, const Variable *Exempt) -> bool {
     int R = RegOf(Def->id());
     if (R < 0)
       return false;
-    for (unsigned Id = 0; Id != NumVars; ++Id) {
-      if (!Live[Id] || Id == Def->id())
+    const Variable *Clash = nullptr;
+    for (unsigned Id : Live.members()) {
+      if (Id == Def->id() || RegOf(Id) != R)
         continue;
       const Variable *V = F.variable(Id);
-      if (V == Exempt || RegOf(Id) != R)
-        continue;
-      Error = "register r" + std::to_string(R) + " written by %" +
-              Def->name() + " while %" + V->name() + " is live";
-      return true;
+      if (V != Exempt && (!Clash || Id < Clash->id()))
+        Clash = V;
     }
-    return false;
+    if (!Clash)
+      return false;
+    Error = "register r" + std::to_string(R) + " written by %" +
+            Def->name() + " while %" + Clash->name() + " is live";
+    return true;
   };
 
   for (const auto &B : F.blocks()) {
-    std::fill(Live.begin(), Live.end(), false);
-    for (unsigned Id = 0; Id != NumVars; ++Id)
-      if (LV.isLiveOut(B.get(), F.variable(Id)))
-        Live[Id] = true;
+    Live.clear();
+    for (unsigned Id : LV.liveOut(B.get()))
+      Live.insert(Id);
     const auto &Insts = B->insts();
     for (auto It = Insts.rbegin(); It != Insts.rend(); ++It) {
       const Instruction &I = **It;
       if (const Variable *Def = I.getDef()) {
-        Live[Def->id()] = false;
+        Live.erase(Def->id());
         const Variable *CopySrc =
             I.isCopy() && I.getOperand(0).isVar() ? I.getOperand(0).getVar()
                                                   : nullptr;
         if (DefClash(Def, CopySrc))
           return false;
       }
-      I.forEachUsedVar([&](const Variable *V) { Live[V->id()] = true; });
+      I.forEachUsedVar([&](const Variable *V) { Live.insert(V->id()); });
     }
 
     // Parameters are defined in parallel at the entry top by the calling
@@ -320,7 +331,7 @@ bool checkAllocation(const Function &F, const RegAllocResult &Alloc,
     if (B.get() == F.entry()) {
       const auto &Params = F.params();
       for (const Variable *P : Params)
-        Live[P->id()] = false;
+        Live.erase(P->id());
       for (unsigned PI = 0; PI != Params.size(); ++PI) {
         if (DefClash(Params[PI], nullptr))
           return false;
@@ -341,7 +352,7 @@ bool checkAllocation(const Function &F, const RegAllocResult &Alloc,
     if (Phis.empty())
       continue;
     for (const auto &Phi : Phis)
-      Live[Phi->getDef()->id()] = false;
+      Live.erase(Phi->getDef()->id());
     for (unsigned PI = 0; PI != Phis.size(); ++PI) {
       if (DefClash(Phis[PI]->getDef(), nullptr))
         return false;
@@ -528,6 +539,8 @@ OracleResult fcc::runDifferentialOracle(const std::string &IrText,
       Copies[FI][CI] = F.staticCopyCount();
       compareExecutions(F, Vectors[FI], Reference[FI], Opts, Config,
                         Result.Divergences);
+      if (C.Destruct == DestructKind::BriggsStar)
+        crossCheckLiveness(F, Config, Result.Divergences);
 
       // The regalloc path: color the paper-pipeline output and re-derive
       // interference freedom from scratch liveness.
@@ -570,6 +583,7 @@ OracleResult fcc::runDifferentialOracle(const std::string &IrText,
           } else {
             compareExecutions(F, Vectors[FI], Reference[FI], Opts,
                               SpillConfig, Result.Divergences);
+            crossCheckLiveness(F, SpillConfig, Result.Divergences);
           }
         } catch (const std::exception &E) {
           Result.Divergences.push_back(
@@ -579,10 +593,12 @@ OracleResult fcc::runDifferentialOracle(const std::string &IrText,
     }
   }
 
-  // Direct analysis cross-validation: both dominator algorithms and both
-  // liveness solvers over one fresh copy of every function, compared bit
-  // for bit (independent of the end-to-end legacy-analyses configuration
-  // above, which only observes divergence through pipeline output).
+  // Direct analysis cross-validation: both dominator algorithms, and
+  // liveness against the dense reference before and after SSA
+  // construction, over one fresh copy of every function (independent of
+  // the end-to-end legacy-analyses configuration above, which only
+  // observes divergence through pipeline output; the Briggs* and spill
+  // outputs were checked above).
   {
     std::string ParseError;
     std::unique_ptr<Module> M = parseModule(IrText, ParseError);

@@ -18,11 +18,12 @@
 ///   - the graph-coloring allocator's assignment over the fast-coalesced
 ///     code is interference-free (re-derived from scratch liveness, not
 ///     from the allocator's own graph);
-///   - the interchangeable analysis implementations agree: the DSU and CHK
-///     dominator algorithms must decorate identical trees and the sparse
-///     and dense liveness solvers must fill identical sets on every input
-///     (checked directly, bit for bit, plus an end-to-end configuration
-///     that runs the paper pipeline under the legacy analyses);
+///   - the analyses agree with their references: the DSU and CHK dominator
+///     algorithms must decorate identical trees, and liveness must fill the
+///     same sets as the dense fixed point (fuzz/ReferenceLiveness.h) on the
+///     pre-SSA input, its SSA form, the Briggs* output and the
+///     spill-rewritten code (plus an end-to-end configuration that runs the
+///     paper pipeline under the legacy analyses);
 ///   - the fast coalescer's incremental set building reaches the same
 ///     partition as the full-rescan reference (fuzz/ReferenceCoalescer.h),
 ///     in eager and in lazy mode.
@@ -81,8 +82,8 @@ enum class DivergenceKind {
                     ///< destruction of the same SSA flavor.
   AllocUnsound,     ///< A definition writes a register another variable
                     ///< live across it occupies (copy sources exempt).
-  AnalysisMismatch, ///< DSU vs CHK dominators or sparse vs dense liveness
-                    ///< disagreed on the same function.
+  AnalysisMismatch, ///< DSU vs CHK dominators, or liveness vs the dense
+                    ///< reference (fuzz/ReferenceLiveness.h), disagreed.
   CoalescerMismatch, ///< FastCoalescer's partition differs from the
                      ///< full-rescan reference (fuzz/ReferenceCoalescer.h).
   InternalError,    ///< A pass threw; captured, remaining configs still ran.

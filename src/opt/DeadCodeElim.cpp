@@ -22,7 +22,7 @@ unsigned fcc::eliminateDeadCode(Function &F) {
     for (const auto &B : F.blocks()) {
       // Backward walk with the exact live set; an instruction whose result
       // is not live right after it executes contributes nothing.
-      IndexSet Live(LV.liveOut(B.get()));
+      IndexSet Live(F.numVariables(), LV.liveOut(B.get()));
       std::vector<Instruction *> Dead;
       for (auto It = B->insts().rbegin(), E = B->insts().rend(); It != E;
            ++It) {

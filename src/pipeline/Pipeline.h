@@ -57,18 +57,20 @@ const char *pipelineName(PipelineKind Kind);
 
 /// Which implementations back the pipeline's dominator and liveness
 /// analyses. Strictly an implementation choice: both dominator algorithms
-/// decorate the identical (unique) tree and both liveness algorithms fill
-/// identical bit sets, so rewritten code, reports and PeakBytes are
-/// byte-for-byte the same under any strategy — the DifferentialOracle
-/// cross-validates exactly that on every fuzz campaign. The default is the
-/// near-linear pair; legacyAnalyses() is the pre-DSU configuration kept for
-/// A/B measurement and differential testing.
+/// decorate the identical (unique) tree, and both liveness values run the
+/// one solver (Sparse additionally checks the SSA preconditions), so
+/// rewritten code, reports and PeakBytes are byte-for-byte the same under
+/// any strategy — the DifferentialOracle cross-validates exactly that on
+/// every fuzz campaign. The default is the near-linear pair;
+/// legacyAnalyses() is the pre-DSU configuration kept for A/B measurement
+/// and differential testing.
 struct AnalysisStrategy {
   DomAlgorithm Dominators = DomAlgorithm::DSU;
   LivenessAlgorithm Liveness = LivenessAlgorithm::Sparse;
 };
 
-/// The original CHK + dense-iterative configuration.
+/// The original configuration: CHK dominators, liveness without the SSA
+/// check.
 constexpr AnalysisStrategy legacyAnalyses() {
   return {DomAlgorithm::CHK, LivenessAlgorithm::Dense};
 }

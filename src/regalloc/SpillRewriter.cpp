@@ -112,7 +112,7 @@ bool trySplitAroundLoop(Function &F, Variable *V, unsigned Slot,
   // already have rewritten the function.
   DominatorTree DT(F);
   LoopInfo LI(DT);
-  Liveness LV(F, LivenessAlgorithm::Dense);
+  Liveness LV(F);
 
   const Loop *Best = nullptr;
   std::vector<bool> BestIn;

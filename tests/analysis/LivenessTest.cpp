@@ -1,17 +1,42 @@
 //===- tests/analysis/LivenessTest.cpp ------------------------------------===//
+//
+// Liveness on any input, SSA or not: the Section 3.1 phi convention on
+// hand-picked programs, and agreement with the dense fixed-point reference
+// (fuzz/ReferenceLiveness) on multi-definition code — hand-written
+// programs, the kernels, a generator sweep and the large CFG shapes before
+// SSA construction, and the code each pipeline leaves after destruction
+// and allocation.
+//
+//===----------------------------------------------------------------------===//
 
 #include "analysis/Liveness.h"
 
+#include "../common/LargeShapes.h"
 #include "../common/TestPrograms.h"
+#include "analysis/CFGUtils.h"
+#include "fuzz/ReferenceLiveness.h"
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
 #include "ir/IRParser.h"
+#include "ir/Module.h"
 #include "ir/Variable.h"
+#include "pipeline/Pipeline.h"
+#include "regalloc/MachineModel.h"
+#include "workload/KernelSuite.h"
+#include "workload/ProgramGenerator.h"
 #include <gtest/gtest.h>
+
+#include <string>
 
 using namespace fcc;
 
 namespace {
+
+void expectMatchesReference(const Function &F, const std::string &Context) {
+  std::string Detail;
+  EXPECT_TRUE(compareLiveness(F, Liveness(F), Detail))
+      << Context << ": " << Detail;
+}
 
 TEST(LivenessTest, StraightLineParamsLiveInOnly) {
   auto M = parseSingleFunctionOrDie(testprogs::StraightLine);
@@ -20,7 +45,7 @@ TEST(LivenessTest, StraightLineParamsLiveInOnly) {
   // Straight-line code: nothing is live out of the only block, and the only
   // upward-exposed names at entry are the parameters (defined by the caller).
   EXPECT_TRUE(L.liveOut(F.entry()).empty());
-  EXPECT_EQ(L.liveIn(F.entry()).count(), F.params().size());
+  EXPECT_EQ(L.liveIn(F.entry()).size(), F.params().size());
   for (const Variable *P : F.params())
     EXPECT_TRUE(L.isLiveIn(F.entry(), P));
 }
@@ -145,6 +170,184 @@ TEST(LivenessTest, SelfRedefinitionIsUpwardExposed) {
   BasicBlock *Body = F.findBlock("body");
   Variable *I = F.findVariable("i");
   EXPECT_TRUE(L.isLiveIn(Body, I));
+}
+
+TEST(LivenessTest, RedefinitionOnOneArmKillsOnlyThatArm) {
+  auto M = parseSingleFunctionOrDie(R"(
+func @onearm(%c, %a) {
+entry:
+  %x = add %a, 1
+  cbr %c, l, r
+l:
+  %x = const 7
+  br j
+r:
+  br j
+j:
+  %y = add %x, 1
+  ret %y
+}
+)");
+  Function &F = *M->functions()[0];
+  Liveness L(F);
+  Variable *X = F.findVariable("x");
+  EXPECT_TRUE(L.isLiveIn(F.findBlock("j"), X));
+  EXPECT_TRUE(L.isLiveOut(F.findBlock("l"), X));
+  EXPECT_FALSE(L.isLiveIn(F.findBlock("l"), X)) << "l redefines x first";
+  EXPECT_TRUE(L.isLiveIn(F.findBlock("r"), X));
+  EXPECT_TRUE(L.isLiveOut(F.entry(), X)) << "the entry x reaches j via r";
+  expectMatchesReference(F, F.name());
+}
+
+TEST(LivenessTest, NeverUsedRedefinitionsAreLiveNowhere) {
+  auto M = parseSingleFunctionOrDie(R"(
+func @loopkill(%n) {
+entry:
+  %i = const 0
+  %t = const 0
+  br h
+h:
+  %c = cmplt %i, %n
+  cbr %c, b, e
+b:
+  %t = add %i, %i
+  %i = add %i, 1
+  br h
+e:
+  ret %i
+}
+)");
+  Function &F = *M->functions()[0];
+  Liveness L(F);
+  Variable *T = F.findVariable("t");
+  Variable *I = F.findVariable("i");
+  for (const auto &B : F.blocks()) {
+    EXPECT_FALSE(L.isLiveIn(B.get(), T)) << B->name();
+    EXPECT_FALSE(L.isLiveOut(B.get(), T)) << B->name();
+  }
+  EXPECT_TRUE(L.isLiveIn(F.findBlock("b"), I));
+  EXPECT_TRUE(L.isLiveOut(F.findBlock("b"), I));
+  EXPECT_TRUE(L.isLiveIn(F.findBlock("e"), I));
+  expectMatchesReference(F, F.name());
+}
+
+TEST(LivenessTest, RedefinedParameterIsLiveIntoEntryOnlyWhereUnkilled) {
+  auto M = parseSingleFunctionOrDie(R"(
+func @paramredef(%a, %c) {
+entry:
+  cbr %c, l, r
+l:
+  %a = const 5
+  br j
+r:
+  br j
+j:
+  ret %a
+}
+)");
+  Function &F = *M->functions()[0];
+  Liveness L(F);
+  Variable *A = F.findVariable("a");
+  EXPECT_TRUE(L.isLiveIn(F.entry(), A));
+  EXPECT_FALSE(L.isLiveIn(F.findBlock("l"), A));
+  EXPECT_TRUE(L.isLiveOut(F.findBlock("l"), A));
+  EXPECT_TRUE(L.isLiveIn(F.findBlock("r"), A));
+  expectMatchesReference(F, F.name());
+}
+
+TEST(LivenessTest, SelfLoopUseAboveRedefinition) {
+  // %i is read before it is redefined in l: upward-exposed at l although l
+  // defines it, and live around the self edge.
+  auto M = parseSingleFunctionOrDie(R"(
+func @selfloop(%n) {
+entry:
+  %i = const 0
+  br l
+l:
+  %i = add %i, 1
+  %c = cmplt %i, %n
+  cbr %c, l, x
+x:
+  ret %i
+}
+)");
+  Function &F = *M->functions()[0];
+  Liveness L(F);
+  BasicBlock *Loop = F.findBlock("l");
+  Variable *I = F.findVariable("i");
+  EXPECT_TRUE(L.isLiveIn(Loop, I));
+  EXPECT_TRUE(L.isLiveOut(Loop, I));
+  EXPECT_TRUE(L.isLiveOut(F.entry(), I));
+  EXPECT_FALSE(L.isLiveIn(F.entry(), I));
+  expectMatchesReference(F, F.name());
+}
+
+TEST(LivenessTest, NeverDefinedNameIsLiveIntoEntry) {
+  // Non-strict input is accepted: a name no instruction defines is, like a
+  // parameter, upward-exposed all the way into the entry block.
+  auto M = parseSingleFunctionOrDie(R"(
+func @ghost(%c) {
+entry:
+  cbr %c, l, r
+l:
+  %y = add %ghost, 1
+  ret %y
+r:
+  ret %c
+}
+)");
+  Function &F = *M->functions()[0];
+  Liveness L(F);
+  Variable *Ghost = F.findVariable("ghost");
+  EXPECT_TRUE(L.isLiveIn(F.entry(), Ghost));
+  EXPECT_FALSE(L.isLiveIn(F.findBlock("r"), Ghost));
+  expectMatchesReference(F, F.name());
+}
+
+TEST(LivenessTest, AgreesWithReferenceBeforeSSA) {
+  for (const RoutineSpec &Spec : kernelSuite()) {
+    auto M = Spec.materialize();
+    for (auto &F : M->functions())
+      expectMatchesReference(*F, Spec.Name);
+  }
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    Module M;
+    GeneratorOptions Opts;
+    Opts.Seed = Seed;
+    Opts.SizeBudget = 40 + static_cast<unsigned>(Seed) * 17;
+    Opts.NumVars = 11;
+    Function *F = generateProgram(M, "g" + std::to_string(Seed), Opts);
+    expectMatchesReference(*F, F->name());
+  }
+  for (const std::string &Text :
+       {shapes::diamondChain(300), shapes::wideJoin(200),
+        shapes::loopNests(6, 16)}) {
+    auto M = parseSingleFunctionOrDie(Text);
+    expectMatchesReference(*M->functions()[0], M->functions()[0]->name());
+  }
+}
+
+TEST(LivenessTest, AgreesWithReferenceAfterDestructionAndAllocation) {
+  // The multi-definition code each pipeline leaves behind: phi copies of
+  // Standard and New, Briggs* webs, and spill-rewritten allocations.
+  MachineModel Machine = uniformMachine(4);
+  for (const RoutineSpec &Spec : kernelSuite()) {
+    for (PipelineKind Kind :
+         {PipelineKind::Standard, PipelineKind::New,
+          PipelineKind::BriggsImproved}) {
+      for (bool Allocate : {false, true}) {
+        auto M = Spec.materialize();
+        PipelineOptions Opts;
+        Opts.Kind = Kind;
+        Opts.Machine = Allocate ? &Machine : nullptr;
+        for (auto &F : M->functions()) {
+          runPipeline(*F, Opts);
+          expectMatchesReference(*F, Spec.Name + " " + pipelineName(Kind) +
+                                         (Allocate ? " allocated" : ""));
+        }
+      }
+    }
+  }
 }
 
 TEST(LivenessTest, BytesIsNonZero) {

@@ -1,20 +1,22 @@
 //===- tests/analysis/SparseLivenessTest.cpp ------------------------------===//
 //
-// The sparse per-variable liveness solver against the dense fixed point:
-// over strict SSA input both must fill bit-identical live-in/live-out sets
-// — on the canonical fixtures, every kernel, and a generator sweep. The
-// solver's checked SSA preconditions (multi-definition, use above the
-// definition, use of a never-defined name) must be hard errors, because a
-// silent violation would just produce too-small live sets. bytes() must
-// report the committed flat-buffer size under either algorithm.
+// Liveness over strict SSA input against the dense fixed-point reference
+// (fuzz/ReferenceLiveness): in both modes the solver must fill exactly the
+// reference's live-in/live-out sets — on the canonical fixtures, every
+// kernel, a generator sweep and the large CFG shapes — and both modes must
+// fill identical tables. The SSA-checked mode's preconditions
+// (multi-definition, use above the definition, use of a never-defined name)
+// must be hard errors. bytes() must report the committed CSR size.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/SparseLiveness.h"
 
+#include "../common/LargeShapes.h"
 #include "../common/TestPrograms.h"
 #include "analysis/CFGUtils.h"
 #include "analysis/DominatorTree.h"
+#include "fuzz/ReferenceLiveness.h"
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
 #include "ir/IRParser.h"
@@ -25,6 +27,8 @@
 #include "workload/ProgramGenerator.h"
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -32,22 +36,21 @@ using namespace fcc;
 
 namespace {
 
-void expectIdenticalSets(const Function &F, const std::string &Context) {
+bool sameIds(std::span<const unsigned> A, std::span<const unsigned> B) {
+  return std::equal(A.begin(), A.end(), B.begin(), B.end());
+}
+
+/// Both modes against the reference, and against each other.
+void expectMatchesReference(const Function &F, const std::string &Context) {
   Liveness Dense(F, LivenessAlgorithm::Dense);
   Liveness Sparse(F, LivenessAlgorithm::Sparse);
+  std::string Detail;
+  EXPECT_TRUE(compareLiveness(F, Sparse, Detail)) << Context << ": " << Detail;
   ASSERT_EQ(Dense.bytes(), Sparse.bytes()) << Context;
-  auto SameWords = [](IndexSetView A, IndexSetView B) {
-    if (A.numWords() != B.numWords())
-      return false;
-    for (size_t W = 0; W != A.numWords(); ++W)
-      if (A.words()[W] != B.words()[W])
-        return false;
-    return true;
-  };
   for (const auto &B : F.blocks()) {
-    EXPECT_TRUE(SameWords(Dense.liveIn(B.get()), Sparse.liveIn(B.get())))
+    EXPECT_TRUE(sameIds(Dense.liveIn(B.get()), Sparse.liveIn(B.get())))
         << Context << ": live-in(" << B->name() << ")";
-    EXPECT_TRUE(SameWords(Dense.liveOut(B.get()), Sparse.liveOut(B.get())))
+    EXPECT_TRUE(sameIds(Dense.liveOut(B.get()), Sparse.liveOut(B.get())))
         << Context << ": live-out(" << B->name() << ")";
   }
 }
@@ -71,7 +74,7 @@ TEST(SparseLivenessTest, AgreesOnCanonicalPrograms) {
     auto M = parseSingleFunctionOrDie(Text);
     Function &F = *M->functions()[0];
     toSSA(F);
-    expectIdenticalSets(F, F.name());
+    expectMatchesReference(F, F.name());
   }
 }
 
@@ -80,7 +83,7 @@ TEST(SparseLivenessTest, AgreesOnEveryKernel) {
     auto M = Spec.materialize();
     for (auto &F : M->functions()) {
       toSSA(*F);
-      expectIdenticalSets(*F, Spec.Name);
+      expectMatchesReference(*F, Spec.Name);
     }
   }
 }
@@ -94,7 +97,18 @@ TEST(SparseLivenessTest, AgreesOnGeneratorSweep) {
     Opts.NumVars = 11;
     Function *F = generateProgram(M, "g" + std::to_string(Seed), Opts);
     toSSA(*F);
-    expectIdenticalSets(*F, F->name());
+    expectMatchesReference(*F, F->name());
+  }
+}
+
+TEST(SparseLivenessTest, AgreesOnLargeShapes) {
+  for (const std::string &Text :
+       {shapes::diamondChain(300), shapes::wideJoin(200),
+        shapes::loopNests(6, 16)}) {
+    auto M = parseSingleFunctionOrDie(Text);
+    Function &F = *M->functions()[0];
+    toSSA(F);
+    expectMatchesReference(F, F.name());
   }
 }
 
@@ -122,31 +136,37 @@ TEST(SparseLivenessTest, SparseLivenessWrapperIsTheSparseAlgorithm) {
   SparseLiveness Sparse(F);
   Liveness Dense(F, LivenessAlgorithm::Dense);
   for (const auto &B : F.blocks()) {
-    IndexSetView SIn = Sparse.liveIn(B.get()), DIn = Dense.liveIn(B.get());
-    ASSERT_EQ(SIn.numWords(), DIn.numWords());
-    for (size_t W = 0; W != SIn.numWords(); ++W)
-      EXPECT_EQ(SIn.words()[W], DIn.words()[W]) << B->name();
+    EXPECT_TRUE(sameIds(Sparse.liveIn(B.get()), Dense.liveIn(B.get())))
+        << B->name();
+    EXPECT_TRUE(sameIds(Sparse.liveOut(B.get()), Dense.liveOut(B.get())))
+        << B->name();
   }
 }
 
 TEST(SparseLivenessTest, BytesReportsCommittedSize) {
-  // Regression for the capacity-vs-size bug: bytes() must be exactly the
-  // committed flat buffer — two sets per block, one word per 64 variables
-  // — and identical across algorithms (PeakBytes comparability depends on
-  // it).
+  // bytes() must be exactly the committed CSR tables — for live-in and for
+  // live-out, one offset per block plus one, one id per (block, live
+  // variable) pair and one 64-bit summary per block — and identical across
+  // modes (PeakBytes comparability depends on it). The pair counts come
+  // from the dense reference.
   auto M = parseSingleFunctionOrDie(testprogs::NestedLoops);
   Function &F = *M->functions()[0];
   toSSA(F);
-  size_t WordsPerSet = (size_t(F.numVariables()) + 63) / 64;
-  size_t Expected = 2 * size_t(F.numBlocks()) * WordsPerSet * sizeof(uint64_t);
+  ReferenceLiveness Ref(F);
+  size_t Pairs = 0;
+  for (const auto &B : F.blocks())
+    Pairs += Ref.liveIn(B.get()).count() + Ref.liveOut(B.get()).count();
+  ASSERT_GT(Pairs, 0u);
+  size_t Blocks = F.numBlocks();
+  size_t Expected = (2 * (Blocks + 1) + Pairs) * sizeof(unsigned) +
+                    2 * Blocks * sizeof(uint64_t);
   EXPECT_EQ(Liveness(F, LivenessAlgorithm::Dense).bytes(), Expected);
   EXPECT_EQ(Liveness(F, LivenessAlgorithm::Sparse).bytes(), Expected);
 }
 
 TEST(SparseLivenessTest, MultipleDefinitionsThrow) {
   // SumLoop before SSA construction redefines %i and %sum — legal input
-  // for the dense solver, a hard precondition violation for the sparse
-  // walk (its early stop at the defining block assumes uniqueness).
+  // without the SSA check, a hard precondition violation with it.
   auto M = parseSingleFunctionOrDie(testprogs::SumLoop);
   Function &F = *M->functions()[0];
   EXPECT_NO_THROW(Liveness(F, LivenessAlgorithm::Dense));

@@ -28,8 +28,8 @@ TEST(DifferentialOracleTest, ConfigNamesAreUniqueAndCoverBothSchemes) {
     EXPECT_TRUE(Found) << "no config mentions '" << Piece << "'";
   }
   // The legacy-analyses configuration: the paper pipeline end to end under
-  // CHK dominators + dense liveness, differentially against the default
-  // near-linear analyses of every other config.
+  // CHK dominators and unchecked liveness, differentially against the
+  // default analyses of every other config.
   bool HasLegacy = false;
   for (const std::string &N : Names)
     HasLegacy |= N == "pruned+fold/fast-legacy-analyses";
@@ -38,7 +38,8 @@ TEST(DifferentialOracleTest, ConfigNamesAreUniqueAndCoverBothSchemes) {
 
 TEST(DifferentialOracleTest, RunsTheAnalysisCrosscheckPerFunction) {
   // Beyond the config matrix, the oracle cross-validates the analyses
-  // directly (bit for bit) once per function; ConfigsRun counts it.
+  // directly against their references once per function; ConfigsRun
+  // counts it.
   OracleResult R = runDifferentialOracle(testprogs::SumLoop);
   ASSERT_TRUE(R.clean()) << R.InputError;
   EXPECT_GE(R.ConfigsRun, static_cast<unsigned>(oracleConfigNames().size()) + 1);

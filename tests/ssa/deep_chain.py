@@ -5,9 +5,10 @@ A chain of N blocks has an N-deep dominator tree, so any recursive walk
 over the tree overflows the native stack long before N = 10^5. The chain
 carries one variable so liveness stays small.
 
-usage: deep_chain.py FCC_OPT BLOCKS SECONDS
-Fails when fcc-opt exits nonzero, prints the wrong result, or takes longer
-than SECONDS of wall-clock time.
+usage: deep_chain.py FCC_OPT BLOCKS SECONDS [PIPELINE...]
+Compiles with each PIPELINE in turn (default: new). Fails when fcc-opt exits
+nonzero, prints the wrong result, or takes longer than SECONDS of wall-clock
+time for any one pipeline.
 """
 
 import os
@@ -25,28 +26,36 @@ def chain(blocks):
     return "\n".join(lines) + "\n"
 
 
+def run(fcc_opt, path, blocks, seconds, pipeline):
+    start = time.monotonic()
+    proc = subprocess.run([fcc_opt, path, f"--pipeline={pipeline}", "--run",
+                           "5"], capture_output=True, text=True)
+    elapsed = time.monotonic() - start
+    if proc.returncode != 0:
+        print(proc.stderr[-2000:])
+        print(f"FAIL: fcc-opt --pipeline={pipeline} exited {proc.returncode} "
+              f"on {blocks} blocks")
+        return False
+    want = f"= {5 + blocks} "
+    if want not in proc.stdout:
+        print(proc.stdout[-2000:])
+        print(f"FAIL: expected '{want.strip()}' from --pipeline={pipeline} "
+              "--run")
+        return False
+    print(f"{blocks} blocks compiled with --pipeline={pipeline} and ran in "
+          f"{elapsed:.2f}s (bound {seconds:.0f}s)")
+    return elapsed <= seconds
+
+
 def main():
     fcc_opt, blocks, seconds = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
+    pipelines = sys.argv[4:] or ["new"]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "chain.ir")
         with open(path, "w") as f:
             f.write(chain(blocks))
-        start = time.monotonic()
-        proc = subprocess.run([fcc_opt, path, "--pipeline=new", "--run", "5"],
-                              capture_output=True, text=True)
-        elapsed = time.monotonic() - start
-    if proc.returncode != 0:
-        print(proc.stderr[-2000:])
-        print(f"FAIL: fcc-opt exited {proc.returncode} on {blocks} blocks")
-        return 1
-    want = f"= {5 + blocks} "
-    if want not in proc.stdout:
-        print(proc.stdout[-2000:])
-        print(f"FAIL: expected '{want.strip()}' from --run")
-        return 1
-    print(f"{blocks} blocks compiled and ran in {elapsed:.2f}s "
-          f"(bound {seconds:.0f}s)")
-    return 0 if elapsed <= seconds else 1
+        ok = [run(fcc_opt, path, blocks, seconds, p) for p in pipelines]
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":

@@ -195,12 +195,11 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P,
   // generated SSA function (guards Tables 1 and 3's structure costs).
   auto Fix = std::make_shared<SSAFixture>(P.GenBudget, /*Seed=*/77);
 
-  // The two liveness solvers over the identical SSA function: solve pins
-  // the dense fixed point, sparse_solve the per-variable def-use walk, so
-  // one artifact carries the head-to-head the A/B methodology in
-  // EXPERIMENTS.md reads off. domtree/build likewise pins the DSU
-  // algorithm (the CHK cost is visible through pipeline/* under
-  // --analysis=legacy).
+  // Liveness over the identical SSA function in its two modes: solve
+  // accepts any input, sparse_solve also checks the SSA preconditions. Both
+  // run the one per-variable solver, so the pair shows what the checks
+  // cost. domtree/build pins the DSU algorithm (the CHK cost is visible
+  // through pipeline/* under --analysis=legacy).
   Benches.push_back({"liveness/solve", Tag, [Fix]() -> size_t {
                        Liveness LV(*Fix->F, LivenessAlgorithm::Dense);
                        return LV.bytes();
