@@ -38,6 +38,29 @@ Instruction *BasicBlock::insertAt(unsigned Index,
   return It->get();
 }
 
+void BasicBlock::insertInsts(
+    std::vector<std::pair<unsigned, std::unique_ptr<Instruction>>> Batch) {
+  if (Batch.empty())
+    return;
+  [[maybe_unused]] const bool Terminated = hasTerminator();
+  std::vector<std::unique_ptr<Instruction>> Body;
+  Body.reserve(Insts.size() + Batch.size());
+  size_t Next = 0;
+  for (size_t Pos = 0, E = Insts.size(); Pos <= E; ++Pos) {
+    for (; Next != Batch.size() && Batch[Next].first == Pos; ++Next) {
+      std::unique_ptr<Instruction> &I = Batch[Next].second;
+      assert(!I->isTerminator() && !I->isPhi() && "bad insertion");
+      assert((Pos != E || !Terminated) && "inserting past the terminator");
+      I->Parent = this;
+      Body.push_back(std::move(I));
+    }
+    if (Pos != E)
+      Body.push_back(std::move(Insts[Pos]));
+  }
+  assert(Next == Batch.size() && "batch positions out of range or unsorted");
+  Insts = std::move(Body);
+}
+
 void BasicBlock::erasePhi(Instruction *I) {
   auto It = std::find_if(Phis.begin(), Phis.end(),
                          [&](const auto &P) { return P.get() == I; });

@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace fcc {
@@ -57,6 +58,14 @@ public:
 
   /// Inserts \p I at body position \p Index (0 = before the first non-phi).
   Instruction *insertAt(unsigned Index, std::unique_ptr<Instruction> I);
+
+  /// Inserts every instruction of \p Batch before the body position paired
+  /// with it, as insertAt() would with positions counted in the body as it
+  /// was before the call. \p Batch must be sorted by position; equal
+  /// positions keep batch order. One sweep over the body (insertAt() per
+  /// instruction shifts the tail every time).
+  void insertInsts(
+      std::vector<std::pair<unsigned, std::unique_ptr<Instruction>>> Batch);
 
   /// Removes the phi \p I from the block.
   void erasePhi(Instruction *I);

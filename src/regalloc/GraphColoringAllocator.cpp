@@ -12,6 +12,8 @@
 #include "regalloc/MachineModel.h"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 
 using namespace fcc;
 
@@ -83,53 +85,89 @@ RegAllocResult fcc::allocateRegisters(const Function &F,
   };
 
   // Simplify: peel nodes whose same-class degree is below their class's
-  // bank size; when stuck, push the cheapest (cost / degree) candidate
-  // optimistically.
+  // bank size, lowest id first; when stuck, push the cheapest (cost /
+  // degree) candidate optimistically. Two worklists give that order without
+  // rescanning the remaining nodes per push:
+  //
+  //  - Ready holds the trivially colorable nodes, a min-heap by id. Degrees
+  //    only fall, so a node crosses below its bank size at most once and
+  //    enters Ready at most once; nothing ever leaves it but a pop.
+  //  - Blocked holds every other node under a (dissolved, cost / (degree +
+  //    1), id) key computed when the entry was pushed. Degrees only fall,
+  //    so a node's true key only rises: an entry whose degree is stale is
+  //    re-keyed when it reaches the top, and a fresh entry at the top is
+  //    the true minimum. Dissolved spill machinery (InfiniteCost) sorts
+  //    after everything else: re-spilling it cannot reduce interference.
   std::vector<unsigned> CurDegree(N, 0);
   std::vector<bool> OnStack(N, false);
   for (const Variable *V : Nodes)
     CurDegree[V->id()] = SameClassDegree(V);
 
+  auto Colorable = [&](unsigned Id) {
+    return CurDegree[Id] < ClassK[Result.ClassOf[Id]];
+  };
+  struct Candidate {
+    bool Infinite;
+    double Ratio;
+    unsigned Id;
+    unsigned Degree; ///< CurDegree[Id] when the key was computed.
+    /// Heap order: the cheapest candidate compares greatest.
+    bool operator<(const Candidate &O) const {
+      if (Infinite != O.Infinite)
+        return Infinite;
+      if (Ratio != O.Ratio)
+        return Ratio > O.Ratio;
+      return Id > O.Id;
+    }
+  };
+  auto KeyOf = [&](unsigned Id) {
+    return Candidate{Flagged(Opts.InfiniteCost, Id),
+                     Cost[Id] / (CurDegree[Id] + 1.0), Id, CurDegree[Id]};
+  };
+  std::priority_queue<unsigned, std::vector<unsigned>, std::greater<>> Ready;
+  std::priority_queue<Candidate> Blocked;
+  for (const Variable *V : Nodes) {
+    if (Colorable(V->id()))
+      Ready.push(V->id());
+    else
+      Blocked.push(KeyOf(V->id()));
+  }
+
   std::vector<const Variable *> Stack;
   Stack.reserve(Nodes.size());
-  unsigned RemainingNodes = static_cast<unsigned>(Nodes.size());
-  while (RemainingNodes != 0) {
-    const Variable *Picked = nullptr;
-    // Prefer any trivially colorable node (deterministic: lowest id).
-    for (const Variable *V : Nodes)
-      if (!OnStack[V->id()] &&
-          CurDegree[V->id()] < ClassK[Result.ClassOf[V->id()]]) {
-        Picked = V;
+  while (Stack.size() != Nodes.size()) {
+    unsigned Picked;
+    if (!Ready.empty()) {
+      Picked = Ready.top();
+      Ready.pop();
+    } else {
+      // Every remaining node is blocked, so Blocked holds an entry for
+      // each; stack members' leftovers are dropped on the way.
+      for (;;) {
+        Candidate Top = Blocked.top();
+        Blocked.pop();
+        if (OnStack[Top.Id])
+          continue;
+        if (Top.Degree != CurDegree[Top.Id]) {
+          Blocked.push(KeyOf(Top.Id));
+          continue;
+        }
+        Picked = Top.Id;
         break;
       }
-    if (!Picked) {
-      // Blocked: choose the best spill candidate but push it anyway —
-      // Briggs's optimism defers the decision to select. Dissolved spill
-      // machinery (InfiniteCost) is only ever picked when nothing else
-      // remains: re-spilling it cannot reduce interference.
-      bool BestInfinite = true;
-      double Best = 0.0;
-      for (const Variable *V : Nodes) {
-        if (OnStack[V->id()])
-          continue;
-        bool Infinite = Flagged(Opts.InfiniteCost, V->id());
-        double Ratio = Cost[V->id()] / (CurDegree[V->id()] + 1.0);
-        if (!Picked || (BestInfinite && !Infinite) ||
-            (BestInfinite == Infinite && Ratio < Best)) {
-          Picked = V;
-          Best = Ratio;
-          BestInfinite = Infinite;
-        }
-      }
     }
-    OnStack[Picked->id()] = true;
-    Stack.push_back(Picked);
-    --RemainingNodes;
-    for (unsigned Neighbor : Graph.neighbors(Picked)) {
+    const Variable *PickedVar = F.variable(Picked);
+    OnStack[Picked] = true;
+    Stack.push_back(PickedVar);
+    for (unsigned Neighbor : Graph.neighbors(PickedVar)) {
       unsigned Id = Graph.nodeVariable(Neighbor)->id();
       if (!OnStack[Id] && CurDegree[Id] > 0 &&
-          Result.ClassOf[Id] == Result.ClassOf[Picked->id()])
+          Result.ClassOf[Id] == Result.ClassOf[Picked]) {
+        bool WasColorable = Colorable(Id);
         --CurDegree[Id];
+        if (!WasColorable && Colorable(Id))
+          Ready.push(Id);
+      }
     }
   }
 

@@ -15,6 +15,15 @@
 /// assignment and the spill set; `insertSpillCode` (SpillRewriter.h) runs
 /// it to convergence with actual spill/reload insertion.
 ///
+/// Push order (what makes the coloring, and so every spill decision,
+/// deterministic): simplify always pushes the lowest-id node whose
+/// same-class degree is below its class's bank size. Only when no such node
+/// remains does it push a blocked one: the node minimizing (dissolved,
+/// cost / (degree + 1), id), where "dissolved" marks InfiniteCost nodes and
+/// false sorts first. Degrees are current same-class degrees among the
+/// nodes not yet pushed. Two worklists keep this order at O(log N) per
+/// push plus O(log N) per degree decrement; select pops in reverse.
+///
 /// Allocation is machine-model aware: with a multi-class `MachineModel`,
 /// each variable is colored inside its class's global register-index range,
 /// so two classes never compete for the same registers (and the soundness

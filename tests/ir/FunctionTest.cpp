@@ -122,6 +122,58 @@ TEST(FunctionTest, BlockInsertionHelpers) {
   EXPECT_EQ(E->insts()[0]->getDef(), C);
 }
 
+TEST(FunctionTest, BatchInsertionMatchesInsertAtOneByOne) {
+  // Body: const a, const b, ret a. Insert at the front, twice before
+  // position 2 (the terminator) and once before position 1.
+  auto MakeBlock = [](Function &F) {
+    BasicBlock *E = F.makeBlock("entry");
+    Variable *A = F.makeVariable("a");
+    E->append(std::make_unique<Instruction>(
+        Opcode::Const, A, std::vector<Operand>{Operand::imm(1)}));
+    E->append(std::make_unique<Instruction>(
+        Opcode::Const, F.makeVariable("b"),
+        std::vector<Operand>{Operand::imm(2)}));
+    E->append(std::make_unique<Instruction>(
+        Opcode::Ret, nullptr, std::vector<Operand>{Operand::var(A)}));
+    return E;
+  };
+  auto Imm = [](int64_t V) {
+    return std::make_unique<Instruction>(Opcode::Const, nullptr,
+                                         std::vector<Operand>{Operand::imm(V)});
+  };
+  auto Immediates = [](const BasicBlock &B) {
+    std::vector<int64_t> Out;
+    for (const auto &I : B.insts())
+      Out.push_back(I->getNumOperands() && I->getOperand(0).isImm()
+                        ? I->getOperand(0).getImm()
+                        : -1);
+    return Out;
+  };
+
+  Function Batched("f");
+  BasicBlock *B = MakeBlock(Batched);
+  std::vector<std::pair<unsigned, std::unique_ptr<Instruction>>> Batch;
+  Batch.emplace_back(0, Imm(10));
+  Batch.emplace_back(1, Imm(11));
+  Batch.emplace_back(2, Imm(12));
+  Batch.emplace_back(2, Imm(13));
+  B->insertInsts(std::move(Batch));
+
+  Function OneByOne("f");
+  BasicBlock *O = MakeBlock(OneByOne);
+  O->insertAt(2, Imm(12));
+  O->insertAt(3, Imm(13));
+  O->insertAt(1, Imm(11));
+  O->insertAt(0, Imm(10));
+
+  EXPECT_EQ(Immediates(*B), Immediates(*O));
+  EXPECT_EQ(Immediates(*B),
+            (std::vector<int64_t>{10, 1, 11, 2, 12, 13, -1}));
+  for (const auto &I : B->insts())
+    EXPECT_EQ(I->getParent(), B);
+  EXPECT_TRUE(B->insts().back()->isTerminator());
+}
+
 TEST(FunctionTest, TakePhisTransfersOwnership) {
   Function F("f");
   BasicBlock *E = F.makeBlock("entry");

@@ -100,11 +100,14 @@ struct SuiteParams {
 };
 
 /// One benchmark: Run performs a single iteration and returns the
-/// deterministic byte footprint of the structures it built.
+/// deterministic byte footprint of the structures it built. Setup, when
+/// set, runs before every iteration outside the clock (for rows whose
+/// iteration consumes its input).
 struct Benchmark {
   std::string Name;
   std::string Workload;
   std::function<size_t()> Run;
+  std::function<void()> Setup = {};
 };
 
 uint64_t nowNs() {
@@ -190,6 +193,37 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P,
   AddPipeline("pipeline/new", PipelineKind::New);
   AddPipeline("pipeline/standard", PipelineKind::Standard);
   AddPipeline("pipeline/briggs_improved", PipelineKind::BriggsImproved);
+
+  // The allocator's layer alone: insertSpillCode on uniform4 over the
+  // paper prefix's functions, already compiled by New. The rewrite mutates
+  // its input, so Setup compiles fresh copies before every iteration,
+  // outside the clock. The byte figure is the spill code inserted.
+  {
+    auto Specs =
+        std::make_shared<std::vector<RoutineSpec>>(paperSuite(P.PaperRoutines));
+    auto Work = std::make_shared<std::vector<std::unique_ptr<Module>>>();
+    Benches.push_back(
+        {"regalloc/uniform4", Tag,
+         [Work]() -> size_t {
+           SpillRewriteOptions Opts;
+           Opts.Machine = uniformMachine(4);
+           size_t SpillOps = 0;
+           for (const auto &M : *Work)
+             for (const auto &F : M->functions()) {
+               SpillRewriteResult R = insertSpillCode(*F, Opts);
+               SpillOps += R.SpillStores + R.Reloads;
+             }
+           return SpillOps * sizeof(Instruction);
+         },
+         [Specs, Work] {
+           Work->clear();
+           for (const RoutineSpec &Spec : *Specs) {
+             Work->push_back(Spec.materialize());
+             for (const auto &F : Work->back()->functions())
+               runPipeline(*F, PipelineKind::New);
+           }
+         }});
+  }
 
   // The retrofitted per-function analyses and structures, each over one
   // generated SSA function (guards Tables 1 and 3's structure costs).
@@ -499,12 +533,17 @@ struct BenchRecord {
 
 BenchRecord measure(const Benchmark &B, unsigned Warmup, unsigned Repeats,
                     InstructionCounter &Counter) {
-  for (unsigned I = 0; I != Warmup; ++I)
+  for (unsigned I = 0; I != Warmup; ++I) {
+    if (B.Setup)
+      B.Setup();
     B.Run();
+  }
 
   std::vector<uint64_t> Ns, Instr;
   size_t PeakBytes = 0;
   for (unsigned I = 0; I != Repeats; ++I) {
+    if (B.Setup)
+      B.Setup();
     Counter.start();
     uint64_t T0 = nowNs();
     PeakBytes = B.Run();
