@@ -6,17 +6,18 @@
 
 using namespace fcc;
 
-Variable *Function::makeVariable(const std::string &VarName,
+Variable *Function::makeVariable(std::string_view VarName,
                                  const Variable *Origin) {
   unsigned Id = static_cast<unsigned>(Vars.size());
-  Vars.push_back(std::unique_ptr<Variable>(new Variable(Id, VarName, Origin)));
+  Vars.push_back(std::unique_ptr<Variable>(
+      new Variable(Id, std::string(VarName), Origin)));
   return Vars.back().get();
 }
 
-BasicBlock *Function::makeBlock(const std::string &BlockName) {
+BasicBlock *Function::makeBlock(std::string_view BlockName) {
   unsigned Id = static_cast<unsigned>(Blocks.size());
-  Blocks.push_back(
-      std::unique_ptr<BasicBlock>(new BasicBlock(Id, BlockName, this)));
+  Blocks.push_back(std::unique_ptr<BasicBlock>(
+      new BasicBlock(Id, std::string(BlockName), this)));
   return Blocks.back().get();
 }
 

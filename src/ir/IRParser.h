@@ -1,8 +1,8 @@
 //===- ir/IRParser.h - Textual IR input -------------------------*- C++ -*-===//
 ///
 /// \file
-/// Recursive-descent parser for the textual IR. The grammar (';' starts a
-/// line comment):
+/// One-pass reader for the textual IR (DESIGN.md §15). The grammar (';'
+/// starts a line comment):
 ///
 /// \code
 ///   module   := function*
@@ -14,12 +14,15 @@
 ///             | 'br' ident
 ///             | 'cbr' operand ',' ident ',' ident
 ///             | 'ret' operand
+///             | 'spill' '%' ident ',' integer
 ///   phi rhs  := 'phi' '[' operand ',' ident ']' (',' '[' ... ']')*
 ///   operand  := '%' ident | integer
 /// \endcode
 ///
 /// Phi operands are written with explicit predecessor labels and are
-/// re-ordered internally to match the block's predecessor list.
+/// re-ordered internally to match the block's predecessor list. Variable ids
+/// follow first appearance in the text (parameters first); block ids follow
+/// label order.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,19 +7,24 @@
 #include "ir/Module.h"
 #include "ir/Variable.h"
 
+#include <charconv>
+
 using namespace fcc;
 
-static void printOperand(std::string &Out, const Operand &O) {
+namespace {
+
+void printOperand(std::string &Out, const Operand &O) {
   if (O.isVar()) {
     Out += '%';
     Out += O.getVar()->name();
-  } else {
-    Out += std::to_string(O.getImm());
+    return;
   }
+  char Buf[24]; // Enough for any int64_t.
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), O.getImm()).ptr);
 }
 
-std::string fcc::printInstruction(const Instruction &I) {
-  std::string Out;
+/// Appends \p I (no trailing newline) to \p Out.
+void appendInstruction(std::string &Out, const Instruction &I) {
   if (Variable *Def = I.getDef()) {
     Out += '%';
     Out += Def->name();
@@ -37,7 +42,7 @@ std::string fcc::printInstruction(const Instruction &I) {
       Out += B->preds()[Idx]->name();
       Out += ']';
     }
-    return Out;
+    return;
   }
 
   bool First = true;
@@ -51,11 +56,12 @@ std::string fcc::printInstruction(const Instruction &I) {
     First = false;
     Out += S->name();
   }
-  return Out;
 }
 
-std::string fcc::printFunction(const Function &F) {
-  std::string Out = "func @" + F.name() + "(";
+void appendFunction(std::string &Out, const Function &F) {
+  Out += "func @";
+  Out += F.name();
+  Out += '(';
   bool First = true;
   for (const Variable *P : F.params()) {
     if (!First)
@@ -68,25 +74,34 @@ std::string fcc::printFunction(const Function &F) {
   for (const auto &B : F.blocks()) {
     Out += B->name();
     Out += ":\n";
-    for (const auto &I : B->phis()) {
-      Out += "  ";
-      Out += printInstruction(*I);
-      Out += '\n';
-    }
-    for (const auto &I : B->insts()) {
-      Out += "  ";
-      Out += printInstruction(*I);
-      Out += '\n';
-    }
+    for (const auto *List : {&B->phis(), &B->insts()})
+      for (const auto &I : *List) {
+        Out += "  ";
+        appendInstruction(Out, *I);
+        Out += '\n';
+      }
   }
   Out += "}\n";
+}
+
+} // namespace
+
+std::string fcc::printInstruction(const Instruction &I) {
+  std::string Out;
+  appendInstruction(Out, I);
+  return Out;
+}
+
+std::string fcc::printFunction(const Function &F) {
+  std::string Out;
+  appendFunction(Out, F);
   return Out;
 }
 
 std::string fcc::printModule(const Module &M) {
   std::string Out;
   for (const auto &F : M.functions()) {
-    Out += printFunction(*F);
+    appendFunction(Out, *F);
     Out += '\n';
   }
   return Out;

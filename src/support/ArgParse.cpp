@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 
 using namespace fcc;
 
@@ -50,4 +51,11 @@ bool fcc::splitIntList(const std::string &Text, std::vector<int64_t> &Out,
       return true;
     Pos = Comma + 1;
   }
+}
+
+bool fcc::wantsHelp(int Argc, char **Argv) {
+  for (int I = 1; I < Argc; ++I)
+    if (std::strcmp(Argv[I], "--help") == 0 || std::strcmp(Argv[I], "-h") == 0)
+      return true;
+  return false;
 }

@@ -5,8 +5,9 @@
 /// The raw strtoll/strtoull idiom has two traps these helpers close: a
 /// non-numeric string silently parses as 0 (so `--run 3 x` executed with a
 /// bogus argument), and strtoull wraps negative input (so `--jobs=-1`
-/// became a four-billion-thread request). Every helper consumes the entire
-/// string or fails.
+/// became a four-billion-thread request). Every integer helper consumes the
+/// entire string or fails. wantsHelp() finds a help request among the
+/// arguments.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +35,10 @@ bool parseUint64Arg(const std::string &Text, uint64_t &Out);
 /// successfully parsed prefixes in \p Out.
 bool splitIntList(const std::string &Text, std::vector<int64_t> &Out,
                   std::string &BadToken);
+
+/// True when some argument is "--help" or "-h": the tools then print their
+/// usage to stdout and exit 0 instead of parsing the rest.
+bool wantsHelp(int Argc, char **Argv);
 
 } // namespace fcc
 

@@ -6,6 +6,7 @@
 #include "../common/TestPrograms.h"
 #include "ir/BasicBlock.h"
 #include "ir/Variable.h"
+#include <cstdint>
 #include <gtest/gtest.h>
 
 using namespace fcc;
@@ -235,6 +236,25 @@ entry:
   ret %a
 }
 )", "duplicate parameter");
+}
+
+TEST(ParserTest, IntegerLiteralsSpanInt64AndNoFurther) {
+  auto M = parseOk("func @f() {\nentry:\n  %a = const -9223372036854775808\n"
+                   "  %b = const 9223372036854775807\n  ret %a\n}\n");
+  ASSERT_NE(M, nullptr);
+  const BasicBlock *Entry = M->functions()[0]->entry();
+  EXPECT_EQ(Entry->insts()[0]->getOperand(0).getImm(), INT64_MIN);
+  EXPECT_EQ(Entry->insts()[1]->getOperand(0).getImm(), INT64_MAX);
+
+  expectParseError(R"(
+func @f() {
+entry:
+  %a = const 99999999999999999999
+  ret %a
+}
+)", "line 4: integer literal out of range");
+  expectParseError("func @f() {\nentry:\n  ret 9223372036854775808\n}\n",
+                   "line 3: integer literal out of range");
 }
 
 TEST(ParserTest, ErrorsCarryLineNumbers) {

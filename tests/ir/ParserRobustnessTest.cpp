@@ -35,7 +35,7 @@ TEST_P(ParserMutationTest, MutatedSourcesNeverCrashTheParser) {
     unsigned Mutations = 1 + static_cast<unsigned>(Rng.nextBelow(4));
     for (unsigned I = 0; I != Mutations; ++I) {
       size_t Pos = Rng.nextBelow(Text.size());
-      switch (Rng.nextBelow(4)) {
+      switch (Rng.nextBelow(6)) {
       case 0: // Delete a character.
         Text.erase(Pos, 1);
         break;
@@ -47,6 +47,16 @@ TEST_P(ParserMutationTest, MutatedSourcesNeverCrashTheParser) {
         break;
       case 3: // Swap two characters.
         std::swap(Text[Pos], Text[Rng.nextBelow(Text.size())]);
+        break;
+      case 4: { // Insert a run of digits, up to long enough to overflow.
+        std::string Digits(1 + Rng.nextBelow(24), '0');
+        for (char &D : Digits)
+          D = static_cast<char>('0' + Rng.nextBelow(10));
+        Text.insert(Pos, Digits);
+        break;
+      }
+      case 5: // Replace with a byte outside ASCII.
+        Text[Pos] = static_cast<char>(0x80 + Rng.nextBelow(128));
         break;
       }
     }

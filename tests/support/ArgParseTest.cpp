@@ -101,4 +101,16 @@ TEST(SplitIntListTest, ReportsOffendingToken) {
   EXPECT_FALSE(splitIntList("1,2,", Out, Bad));
 }
 
+TEST(WantsHelpTest, FindsHelpFlagsAnywhere) {
+  char Tool[] = "tool", File[] = "in.ir", Help[] = "--help", H[] = "-h",
+       Other[] = "--helpful";
+  char *WithLong[] = {Tool, File, Help};
+  char *WithShort[] = {Tool, H};
+  char *Without[] = {Tool, File, Other};
+  EXPECT_TRUE(wantsHelp(3, WithLong));
+  EXPECT_TRUE(wantsHelp(2, WithShort));
+  EXPECT_FALSE(wantsHelp(3, Without));
+  EXPECT_FALSE(wantsHelp(1, WithLong)); // argv[0] is the program name.
+}
+
 } // namespace

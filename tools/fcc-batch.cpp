@@ -82,9 +82,11 @@ struct BatchOptions {
   bool Quiet = false;
 };
 
-int usage(const char *Argv0) {
+/// Prints the usage: for --help to stdout with exit code 0, else to stderr
+/// with 2.
+int usage(const char *Argv0, bool Help = false) {
   std::fprintf(
-      stderr,
+      Help ? stdout : stderr,
       "usage: %s DIR|FILE... [--pipeline=new|standard|briggs|briggs*]\n"
       "       [--analysis=fast|legacy|dsu+sparse|chk+dense|dsu+dense|"
       "chk+sparse]\n"
@@ -94,7 +96,7 @@ int usage(const char *Argv0) {
       "       [--stats] [--trace=PATH] [--check] [--run ARG,...] [--strict]\n"
       "       [--max-instructions=N] [--time-budget-ms=N] [--quiet]\n",
       Argv0);
-  return 2;
+  return Help ? 0 : 2;
 }
 
 bool parseArgs(int Argc, char **Argv, BatchOptions &Opts) {
@@ -238,6 +240,8 @@ bool parseArgs(int Argc, char **Argv, BatchOptions &Opts) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  if (wantsHelp(Argc, Argv))
+    return usage(Argv[0], /*Help=*/true);
   BatchOptions Opts;
   if (!parseArgs(Argc, Argv, Opts))
     return usage(Argv[0]);

@@ -65,6 +65,8 @@
 #include "interp/Interpreter.h"
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
+#include "ir/IRParser.h"
+#include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include "pipeline/Pipeline.h"
 #include "regalloc/SpillRewriter.h"
@@ -81,6 +83,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -223,6 +226,33 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P,
                runPipeline(*F, PipelineKind::New);
            }
          }});
+  }
+
+  // The IR reader alone: parseModule over the paper prefix's printed text,
+  // printed once at build time. Setup frees the previous iteration's
+  // modules, so their destruction stays outside the clock. The byte figure
+  // is the text read.
+  {
+    auto Texts = std::make_shared<std::vector<std::string>>();
+    for (const RoutineSpec &Spec : paperSuite(P.PaperRoutines))
+      Texts->push_back(printModule(*Spec.materialize()));
+    auto Parsed = std::make_shared<std::vector<std::unique_ptr<Module>>>();
+    Benches.push_back(
+        {"ir/parse", Tag,
+         [Texts, Parsed]() -> size_t {
+           size_t Bytes = 0;
+           for (const std::string &Text : *Texts) {
+             std::string Error;
+             Parsed->push_back(parseModule(Text, Error));
+             if (!Parsed->back()) {
+               std::fprintf(stderr, "fcc-bench: ir/parse: %s\n", Error.c_str());
+               std::exit(2);
+             }
+             Bytes += Text.size();
+           }
+           return Bytes;
+         },
+         [Parsed] { Parsed->clear(); }});
   }
 
   // The retrofitted per-function analyses and structures, each over one
@@ -589,18 +619,22 @@ void writeJson(std::FILE *Out, const std::string &Suite, unsigned Warmup,
   std::fprintf(Out, "\n]}\n");
 }
 
-int usage(const char *Argv0) {
-  std::fprintf(stderr,
+/// Prints the usage: for --help to stdout with exit code 0, else to stderr
+/// with 2.
+int usage(const char *Argv0, bool Help = false) {
+  std::fprintf(Help ? stdout : stderr,
                "usage: %s --suite=ci|smoke [--analysis=fast|legacy|...]\n"
                "       [--out=PATH] [--warmup=N] [--repeats=N] [--quality] "
                "[--list]\n",
                Argv0);
-  return 2;
+  return Help ? 0 : 2;
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
+  if (wantsHelp(Argc, Argv))
+    return usage(Argv[0], /*Help=*/true);
   std::string Suite, OutPath = "-";
   int64_t WarmupOverride = -1, RepeatsOverride = -1;
   bool ListOnly = false;

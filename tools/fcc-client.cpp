@@ -68,13 +68,15 @@ struct ClientOptions {
   bool Quiet = false;
 };
 
-int usage(const char *Argv0) {
-  std::fprintf(stderr,
+/// Prints the usage: for --help to stdout with exit code 0, else to stderr
+/// with 2.
+int usage(const char *Argv0, bool Help = false) {
+  std::fprintf(Help ? stdout : stderr,
                "usage: %s --socket=PATH [DIR|FILE...] [--generate=N[:SEED]]\n"
                "       [--window=N] [--json=PATH] [--expect-all-hits]\n"
                "       [--shutdown] [--quiet]\n",
                Argv0);
-  return 2;
+  return Help ? 0 : 2;
 }
 
 bool parseArgs(int Argc, char **Argv, ClientOptions &Opts) {
@@ -270,6 +272,8 @@ std::string compileRequest(unsigned Index, const ClientUnit &U) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  if (wantsHelp(Argc, Argv))
+    return usage(Argv[0], /*Help=*/true);
   ClientOptions Opts;
   if (!parseArgs(Argc, Argv, Opts))
     return usage(Argv[0]);

@@ -54,14 +54,16 @@ struct ToolOptions {
   bool Quiet = false;
 };
 
-int usage(const char *Argv0) {
-  std::fprintf(stderr,
+/// Prints the usage: for --help to stdout with exit code 0, else to stderr
+/// with 2.
+int usage(const char *Argv0, bool Help = false) {
+  std::fprintf(Help ? stdout : stderr,
                "usage: %s [--runs=N] [--seed=N] [--jobs=N] [--registers=N]\n"
                "       [--passes=sccp,adce,pre] [--time-budget=SECS]\n"
                "       [--max-findings=N] [--out-dir=PATH] [--json=PATH]\n"
                "       [--no-reduce] [--quiet]\n",
                Argv0);
-  return 2;
+  return Help ? 0 : 2;
 }
 
 bool parseUnsignedFlag(const std::string &Arg, const char *Flag,
@@ -159,6 +161,8 @@ std::string reproText(const FuzzFinding &F) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  if (wantsHelp(Argc, Argv))
+    return usage(Argv[0], /*Help=*/true);
   ToolOptions Opts;
   if (!parseArgs(Argc, Argv, Opts))
     return usage(Argv[0]);

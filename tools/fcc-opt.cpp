@@ -86,8 +86,10 @@ struct DriverOptions {
   std::vector<int64_t> RunArgs;
 };
 
-int usage(const char *Argv0) {
-  std::fprintf(stderr,
+/// Prints the usage: for --help to stdout with exit code 0, else to stderr
+/// with 2.
+int usage(const char *Argv0, bool Help = false) {
+  std::fprintf(Help ? stdout : stderr,
                "usage: %s FILE.ir [--pipeline=new|standard|briggs|briggs*]\n"
                "       [--analysis=fast|legacy|dsu+sparse|chk+dense|"
                "dsu+dense|chk+sparse]\n"
@@ -97,7 +99,7 @@ int usage(const char *Argv0) {
                "[--strict] [--check] [--trace] [--trace=PATH] [--stats]\n"
                "       [--run ARGS...]\n",
                Argv0);
-  return 2;
+  return Help ? 0 : 2;
 }
 
 bool parseArgs(int Argc, char **Argv, DriverOptions &Opts) {
@@ -180,6 +182,8 @@ bool parseArgs(int Argc, char **Argv, DriverOptions &Opts) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  if (wantsHelp(Argc, Argv))
+    return usage(Argv[0], /*Help=*/true);
   DriverOptions Opts;
   if (!parseArgs(Argc, Argv, Opts))
     return usage(Argv[0]);

@@ -60,16 +60,18 @@ void onStopSignal(int) {
   }
 }
 
-int usage(const char *Argv0) {
+/// Prints the usage: for --help to stdout with exit code 0, else to stderr
+/// with 2.
+int usage(const char *Argv0, bool Help = false) {
   std::fprintf(
-      stderr,
+      Help ? stdout : stderr,
       "usage: %s --socket=PATH [--jobs=N] [--cache-bytes=N]\n"
       "       [--max-queue=N] [--pipeline=new|standard|briggs|briggs*]\n"
       "       [--machine=uniformN|dsp|embedded] [--passes=sccp,adce,pre]\n"
       "       [--check] [--strict] [--run ARG,...] [--max-instructions=N]\n"
       "       [--quiet]\n",
       Argv0);
-  return 2;
+  return Help ? 0 : 2;
 }
 
 bool parseArgs(int Argc, char **Argv, Server::Options &Opts, bool &Quiet) {
@@ -169,6 +171,8 @@ bool parseArgs(int Argc, char **Argv, Server::Options &Opts, bool &Quiet) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  if (wantsHelp(Argc, Argv))
+    return usage(Argv[0], /*Help=*/true);
   Server::Options Opts;
   bool Quiet = false;
   if (!parseArgs(Argc, Argv, Opts, Quiet))
