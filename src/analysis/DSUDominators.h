@@ -1,47 +1,71 @@
-//===- analysis/DSUDominators.h - Near-linear idoms -------------*- C++ -*-===//
+//===- analysis/DSUDominators.h - The dominator engine ----------*- C++ -*-===//
 ///
 /// \file
-/// Immediate dominators via disjoint set union: semidominators computed with
-/// Tarjan's link-eval forest (path compression carrying minimum-semidominator
-/// labels, support/UnionFind.h), then immediate dominators derived by the
-/// SemiNCA walk — for each vertex in DFS preorder, climb the already-final
-/// idom chain from its DFS parent until reaching a vertex at or above its
-/// semidominator. This is the DSU-based dominator family of "Finding
-/// Dominators via Disjoint Set Union" (see PAPERS.md): near-linear in
-/// practice, against the CHK fixed point's O(n^2) worst case on deep CFGs.
-///
-/// The function only computes the idom array. The caller (DominatorTree)
-/// owns the DFS — so both dominator algorithms share one traversal, one
-/// reachability check and one decoration pass — and hands the traversal in
-/// as three parallel arrays in DFS-preorder space.
+/// The one dominator engine, for dominators and postdominators alike: it
+/// reads a flow graph through IndexGraph, so the same code serves the CFG
+/// (DominatorTree) and the reverse CFG rooted at a virtual exit
+/// (PostDominatorTree). Semidominators come from Tarjan's link-eval forest
+/// (support/UnionFind.h), immediate dominators from the SemiNCA walk: for
+/// each vertex in DFS preorder, climb the already-final idom chain from its
+/// DFS parent to a vertex at or above its semidominator. This is the
+/// DSU-based family of "Finding Dominators via Disjoint Set Union" (see
+/// PAPERS.md), which applies to any flow graph, reversed ones included, and
+/// is near-linear where the iterative fixed point (kept only as the test
+/// reference, fuzz/ReferenceDominators.h) is O(n^2) on deep CFGs.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FCC_ANALYSIS_DSUDOMINATORS_H
 #define FCC_ANALYSIS_DSUDOMINATORS_H
 
+#include <span>
 #include <vector>
 
 namespace fcc {
 
-class BasicBlock;
+class Function;
 
-/// Computes immediate dominators for the CFG captured by one depth-first
-/// search:
-///
-///   - \p ByDfs: blocks in DFS preorder; ByDfs[0] is the entry and every
-///     block of the function appears exactly once (reachability is the
-///     caller's checked precondition);
-///   - \p DfsNum: block id -> DFS preorder number;
-///   - \p ParentPre: DFS preorder number -> the DFS-tree parent's preorder
-///     number (entry 0 is unused).
-///
-/// On return Idom[block id] is the immediate dominator, nullptr for the
-/// entry. \p Idom must be pre-sized to the number of blocks.
-void computeIdomsDSU(const std::vector<BasicBlock *> &ByDfs,
-                     const std::vector<unsigned> &DfsNum,
-                     const std::vector<unsigned> &ParentPre,
-                     std::vector<BasicBlock *> &Idom);
+/// "No node": the idom of the root.
+constexpr unsigned NoNode = ~0u;
+
+/// A rooted flow graph over node ids 0..size()-1 with successor and
+/// predecessor lists. Block nodes keep their block ids in both directions.
+class IndexGraph {
+public:
+  /// The CFG, rooted at the entry block.
+  static IndexGraph forward(const Function &F) { return build(F, false); }
+  /// The reverse CFG plus a virtual exit, node numBlocks(), that every
+  /// `ret` block flows into; the exit is the root.
+  static IndexGraph reverse(const Function &F) { return build(F, true); }
+
+  unsigned size() const { return static_cast<unsigned>(SuccBegin.size()) - 1; }
+  unsigned root() const { return Root; }
+  std::span<const unsigned> succs(unsigned N) const {
+    return {SuccIds.data() + SuccBegin[N], SuccIds.data() + SuccBegin[N + 1]};
+  }
+  std::span<const unsigned> preds(unsigned N) const {
+    return {PredIds.data() + PredBegin[N], PredIds.data() + PredBegin[N + 1]};
+  }
+
+private:
+  static IndexGraph build(const Function &F, bool Reverse);
+
+  unsigned Root = 0;
+  // Node n's lists are Ids[Begin[n], Begin[n + 1]).
+  std::vector<unsigned> SuccBegin, SuccIds, PredBegin, PredIds;
+};
+
+/// The engine's result: immediate dominators (NoNode for the root) and the
+/// nodes its DFS from the root reached (successors taken in list order), in
+/// postorder.
+struct IndexDominators {
+  std::vector<unsigned> Idom;
+  std::vector<unsigned> Postorder;
+};
+
+/// Computes the dominators of \p G. Returns false when some node is not
+/// reachable from the root; then only \p Out.Postorder is filled.
+bool computeDominators(const IndexGraph &G, IndexDominators &Out);
 
 } // namespace fcc
 

@@ -1,12 +1,9 @@
 //===- analysis/DominatorTree.cpp -----------------------------------------===//
 //
-// Implements the iterative dominance algorithm of Cooper, Harvey and Kennedy
-// ("A Simple, Fast Dominance Algorithm") and dispatches to the near-linear
-// DSU alternative (DSUDominators.cpp); either is followed by a single
-// depth-first numbering pass due to Tarjan that the paper's dominance-forest
-// construction depends on (Section 3.2). The DFS, the reachability check and
-// the decoration are shared, which is what makes the two algorithms'
-// decorated trees bit-identical.
+// Front ends of the dominator engine (DSUDominators.cpp): the CFG for
+// DominatorTree, followed by the depth-first numbering pass due to Tarjan
+// that the paper's dominance-forest construction depends on (Section 3.2),
+// and the reverse CFG for PostDominatorTree.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +13,6 @@
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -27,102 +23,29 @@ unsigned DominatorTree::blockIndex(const BasicBlock *B) const {
   return B->id();
 }
 
-DominatorTree::DominatorTree(const Function &F, DomAlgorithm Algo) : F(F) {
+DominatorTree::DominatorTree(const Function &F, DominatorsTag) : F(F) {
   unsigned N = F.numBlocks();
   assert(N != 0 && "empty function");
 
-  // One DFS over the CFG serves both algorithms (iterative; generator CFGs
-  // can be deep): the postorder's reverse drives the CHK fixed point, the
-  // preorder numbering and DFS-tree parents feed the semidominator
-  // computation, and a visit count below N is how unreachable blocks are
-  // detected.
-  std::vector<BasicBlock *> Postorder;
-  Postorder.reserve(N);
-  std::vector<BasicBlock *> ByDfs; // Blocks in DFS preorder.
-  ByDfs.reserve(N);
-  std::vector<unsigned> DfsNum(N, 0);
-  std::vector<unsigned> ParentPre(N, 0); // Preorder -> parent's preorder.
-  {
-    std::vector<bool> Visited(N, false);
-    // Stack of (block, next successor index to visit).
-    std::vector<std::pair<BasicBlock *, unsigned>> Stack;
-    Stack.push_back({F.entry(), 0});
-    Visited[F.entry()->id()] = true;
-    DfsNum[F.entry()->id()] = 0;
-    ByDfs.push_back(F.entry());
-    while (!Stack.empty()) {
-      auto &[B, NextSucc] = Stack.back();
-      const auto &Succs = B->terminator()->successors();
-      if (NextSucc < Succs.size()) {
-        BasicBlock *S = Succs[NextSucc++];
-        if (!Visited[S->id()]) {
-          Visited[S->id()] = true;
-          DfsNum[S->id()] = static_cast<unsigned>(ByDfs.size());
-          ParentPre[DfsNum[S->id()]] = DfsNum[B->id()];
-          ByDfs.push_back(S);
-          Stack.push_back({S, 0});
-        }
-        continue;
-      }
-      Postorder.push_back(B);
-      Stack.pop_back();
-    }
-  }
   // Unreachable blocks break every invariant below (the RPO no longer
-  // covers the function, the fixed point dereferences null idoms). The
-  // verifier rejects them, but dominators are also built directly on
-  // unverified functions — so enforce the precondition here, in release
-  // builds too, instead of relying on an assert that compiles out.
-  if (Postorder.size() != N)
+  // covers the function, the tree does not span it). The verifier rejects
+  // them, but dominators are also built directly on unverified functions —
+  // so enforce the precondition here, in release builds too, instead of
+  // relying on an assert that compiles out.
+  IndexDominators D;
+  if (!computeDominators(IndexGraph::forward(F), D))
     throw std::invalid_argument(
         "dominators(@" + F.name() + "): " +
-        std::to_string(N - Postorder.size()) +
+        std::to_string(N - D.Postorder.size()) +
         " block(s) unreachable from entry; the function does not verify");
 
-  RPO.assign(Postorder.rbegin(), Postorder.rend());
+  RPO.reserve(N);
+  for (auto It = D.Postorder.rbegin(); It != D.Postorder.rend(); ++It)
+    RPO.push_back(F.block(*It));
   Idom.assign(N, nullptr);
-
-  if (Algo == DomAlgorithm::DSU) {
-    computeIdomsDSU(ByDfs, DfsNum, ParentPre, Idom);
-  } else {
-    std::vector<unsigned> PostNum(N);
-    for (unsigned I = 0; I != Postorder.size(); ++I)
-      PostNum[Postorder[I]->id()] = I;
-
-    // Cooper-Harvey-Kennedy fixed point over idoms.
-    Idom[F.entry()->id()] = F.entry(); // Self-idom sentinel during iteration.
-
-    auto Intersect = [&](BasicBlock *A, BasicBlock *B) {
-      while (A != B) {
-        while (PostNum[A->id()] < PostNum[B->id()])
-          A = Idom[A->id()];
-        while (PostNum[B->id()] < PostNum[A->id()])
-          B = Idom[B->id()];
-      }
-      return A;
-    };
-
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (BasicBlock *B : RPO) {
-        if (B == F.entry())
-          continue;
-        BasicBlock *NewIdom = nullptr;
-        for (BasicBlock *P : B->preds()) {
-          if (!Idom[P->id()])
-            continue; // Not yet processed.
-          NewIdom = NewIdom ? Intersect(NewIdom, P) : P;
-        }
-        assert(NewIdom && "reachable block with no processed predecessor");
-        if (Idom[B->id()] != NewIdom) {
-          Idom[B->id()] = NewIdom;
-          Changed = true;
-        }
-      }
-    }
-    Idom[F.entry()->id()] = nullptr; // Drop the sentinel.
-  }
+  for (unsigned B = 0; B != N; ++B)
+    if (D.Idom[B] != NoNode)
+      Idom[B] = F.block(D.Idom[B]);
 
   // Dominator-tree children, in RPO so numbering is deterministic.
   Children.assign(N, {});
@@ -167,4 +90,38 @@ size_t DominatorTree::bytes() const {
   for (const auto &Kids : Children)
     Total += Kids.capacity() * sizeof(BasicBlock *);
   return Total;
+}
+
+PostDominatorTree::PostDominatorTree(const Function &F) : F(F) {
+  const unsigned N = F.numBlocks();
+  IndexDominators D;
+  Complete = computeDominators(IndexGraph::reverse(F), D);
+  if (!Complete)
+    return;
+  // The virtual exit, node N, maps to nullptr.
+  IPdom.assign(N, nullptr);
+  for (unsigned B = 0; B != N; ++B)
+    if (D.Idom[B] != N)
+      IPdom[B] = F.block(D.Idom[B]);
+}
+
+BasicBlock *PostDominatorTree::ipdom(const BasicBlock *B) const {
+  assert(Complete && B->getParent() == &F && "no postdominators for this");
+  return IPdom[B->id()];
+}
+
+std::vector<std::vector<const BasicBlock *>>
+PostDominatorTree::controlDependence() const {
+  assert(Complete && "control dependence needs every block to reach a ret");
+  std::vector<std::vector<const BasicBlock *>> CD(F.numBlocks());
+  for (const auto &X : F.blocks()) {
+    const auto &Succs = X->terminator()->successors();
+    if (Succs.size() < 2)
+      continue;
+    const BasicBlock *Stop = ipdom(X.get());
+    for (const BasicBlock *Runner : Succs)
+      for (; Runner != Stop; Runner = ipdom(Runner))
+        CD[Runner->id()].push_back(X.get());
+  }
+  return CD;
 }

@@ -5,14 +5,8 @@
 /// numbering the paper's Figure 1 requires: `preorder(a) <= preorder(b) <=
 /// maxPreorder(a)` answers "does a dominate b?" in constant time, and the
 /// numbering is computed once per function regardless of how many dominance
-/// forests are built over it.
-///
-/// Two interchangeable algorithms compute the idoms: the Cooper–Harvey–
-/// Kennedy iterative fixed point (the original implementation) and the
-/// near-linear disjoint-set-union scheme (analysis/DSUDominators.h). The
-/// dominator tree of a CFG is unique and both run off the same DFS and feed
-/// the same decoration pass, so the choice is observable only in build time
-/// — every table below is bit-identical across algorithms.
+/// forests are built over it. PostDominatorTree is the same engine
+/// (analysis/DSUDominators.h) run over the reverse CFG.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,12 +22,8 @@ namespace fcc {
 class BasicBlock;
 class Function;
 
-/// Which algorithm computes the immediate dominators. Both yield the same
-/// decorated tree; see the file comment.
-enum class DomAlgorithm : unsigned char {
-  CHK, ///< Cooper–Harvey–Kennedy iterative fixed point.
-  DSU, ///< Semidominators via link-eval disjoint set union + SemiNCA.
-};
+/// Accepted and ignored by the constructor; see PipelineOptions::Analyses.
+struct DominatorsTag {};
 
 /// Immediate-dominator tree over a function's CFG. The function must verify;
 /// in particular every block must be reachable, and that precondition is
@@ -42,8 +32,7 @@ enum class DomAlgorithm : unsigned char {
 /// pass, so this holds in release builds too).
 class DominatorTree {
 public:
-  explicit DominatorTree(const Function &F,
-                         DomAlgorithm Algo = DomAlgorithm::CHK);
+  explicit DominatorTree(const Function &F, DominatorsTag = {});
 
   const Function &function() const { return F; }
 
@@ -100,6 +89,32 @@ private:
   std::vector<unsigned> Preorder;     // indexed by block id
   std::vector<unsigned> MaxPreorder;  // indexed by block id
   std::vector<BasicBlock *> PreorderBlocks;
+};
+
+/// Postdominators: the dominators of the reverse CFG, rooted at a virtual
+/// exit that every `ret` block flows into.
+class PostDominatorTree {
+public:
+  explicit PostDominatorTree(const Function &F);
+
+  /// True when every block reaches a `ret`. The queries below are valid
+  /// only then.
+  bool complete() const { return Complete; }
+
+  /// Immediate postdominator; nullptr when it is the virtual exit.
+  BasicBlock *ipdom(const BasicBlock *B) const;
+
+  /// Control dependence, indexed by block id: the branch blocks each block
+  /// is control dependent on, i.e. its reverse dominance frontier. For
+  /// every block X with two or more successors, each block on the
+  /// postdominator chain from a successor up to (not including) ipdom(X)
+  /// depends on X.
+  std::vector<std::vector<const BasicBlock *>> controlDependence() const;
+
+private:
+  const Function &F;
+  bool Complete = false;
+  std::vector<BasicBlock *> IPdom; // indexed by block id
 };
 
 } // namespace fcc

@@ -12,8 +12,6 @@
 #include "ir/Variable.h"
 
 #include <cassert>
-#include <stdexcept>
-#include <string>
 
 using namespace fcc;
 
@@ -72,27 +70,17 @@ void layOut(const std::vector<BlockMarks> &Marks, std::vector<unsigned> &Offsets
   Ids.resize(Sum);
 }
 
-[[noreturn, gnu::cold]] void violation(const Function &F, const Variable *V,
-                                       const char *What) {
-  throw std::invalid_argument("sparse liveness(@" + F.name() + "): %" +
-                              V->name() + " " + What +
-                              "; sparse liveness requires strict "
-                              "single-definition (SSA) input");
-}
-
 } // namespace
 
-Liveness::Liveness(const Function &F, LivenessAlgorithm Algo) {
+Liveness::Liveness(const Function &F, LivenessTag) {
   const unsigned NumBlocks = F.numBlocks();
   const unsigned NumVars = F.numVariables();
-  const bool CheckSSA = Algo == LivenessAlgorithm::Sparse;
 
   // The sweep: one pass over every block files each variable's defining
   // blocks, upward-exposed uses and phi-operand predecessors, and copies
-  // the predecessor lists into one id array for the walk. Under the SSA
-  // check a parameter counts as defined above the entry block, so a
-  // redefinition is a second definition; without it a parameter is just a
-  // variable no instruction defines, live-in at entry wherever it is used.
+  // the predecessor lists into one id array for the walk. A parameter is
+  // just a variable no instruction defines, live-in at entry wherever it is
+  // used.
   std::vector<VarInfo> Vars(NumVars);
   std::vector<Link> Links;
   Links.reserve(size_t(NumVars) + 2 * size_t(NumBlocks));
@@ -100,9 +88,6 @@ Liveness::Liveness(const Function &F, LivenessAlgorithm Algo) {
     Links.push_back({Block, Head});
     Head = static_cast<unsigned>(Links.size() - 1);
   };
-  if (CheckSSA)
-    for (const Variable *P : F.params())
-      Vars[P->id()].DefStamp = kNil;
   std::vector<unsigned> PredBegin(size_t(NumBlocks) + 1, 0), PredIds;
   PredIds.reserve(2 * size_t(NumBlocks));
 
@@ -110,12 +95,6 @@ Liveness::Liveness(const Function &F, LivenessAlgorithm Algo) {
     const unsigned Id = B->id(), Stamp = Id + 1;
     auto NoteDef = [&](const Variable *V) {
       VarInfo &VI = Vars[V->id()];
-      if (CheckSSA) {
-        if (VI.DefStamp != 0)
-          violation(F, V, "has more than one definition");
-        if (VI.UseStamp == Stamp)
-          violation(F, V, "is used above its definition");
-      }
       if (VI.DefStamp == Stamp)
         return;
       VI.DefStamp = Stamp;
@@ -167,8 +146,6 @@ Liveness::Liveness(const Function &F, LivenessAlgorithm Algo) {
     const VarInfo &VI = Vars[V];
     if (VI.UpUses == kNil && VI.PhiUses == kNil)
       continue; // Never used across an edge: live nowhere at a boundary.
-    if (CheckSSA && VI.DefStamp == 0)
-      violation(F, F.variable(V), "is used but never defined");
     const unsigned Mark = V + 1;
     const uint64_t Bit = uint64_t(1) << (V % 64);
     if (VI.FirstDef != kNil)

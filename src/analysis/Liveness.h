@@ -53,26 +53,13 @@ namespace fcc {
 
 class Function;
 
-/// How much the input is trusted. Both values run the same solver and fill
-/// identical tables; they differ only in the checks made on the way.
-enum class LivenessAlgorithm : unsigned char {
-  /// Any input, including multi-definition non-SSA code (SSA construction's
-  /// pruning, the Briggs webs and the post-rewrite allocation checks need
-  /// exactly that).
-  Dense,
-  /// Strict single-definition (SSA) input, checked: a second definition of
-  /// any variable (parameters count as defined), a use above the
-  /// definition inside the defining block, or a use of a never-defined
-  /// variable throws std::invalid_argument. A silent violation would mean
-  /// the caller assumed SSA where it does not hold.
-  Sparse,
-};
+/// Accepted and ignored by the constructor; see PipelineOptions::Analyses.
+struct LivenessTag {};
 
 /// Block-boundary liveness sets over a function's variables.
 class Liveness {
 public:
-  explicit Liveness(const Function &F,
-                    LivenessAlgorithm Algo = LivenessAlgorithm::Dense);
+  explicit Liveness(const Function &F, LivenessTag = {});
 
   /// Ids of the variables live into / out of \p B, in increasing order.
   std::span<const unsigned> liveIn(const BasicBlock *B) const;

@@ -9,6 +9,7 @@
 #include "coalesce/CoalescingChecker.h"
 #include "coalesce/FastCoalescer.h"
 #include "fuzz/ReferenceCoalescer.h"
+#include "fuzz/ReferenceDominators.h"
 #include "fuzz/ReferenceLiveness.h"
 #include "interp/Interpreter.h"
 #include "ir/BasicBlock.h"
@@ -50,11 +51,6 @@ struct OracleConfig {
   SSAFlavor Flavor;
   bool Fold;
   DestructKind Destruct;
-  /// Dominator/liveness implementations for this configuration. Defaults
-  /// to the pipeline default (DSU + sparse); the "legacy-analyses" entry
-  /// pins the old pair so every campaign compares new-vs-old end to end on
-  /// top of the direct bit-level cross-validation below.
-  AnalysisStrategy Analyses = {};
   /// Optimization pass sequence (passSequenceName spelling) run over the
   /// SSA form before destruction; null or empty runs no passes. The passes
   /// only rewrite within our total semantics (wrapping arithmetic, safe
@@ -77,8 +73,6 @@ constexpr OracleConfig Configs[] = {
      DestructKind::Standard},
     {"pruned+fold/fast-checked", SSAFlavor::Pruned, true,
      DestructKind::FastChecked},
-    {"pruned+fold/fast-legacy-analyses", SSAFlavor::Pruned, true,
-     DestructKind::Fast, legacyAnalyses()},
     {"pruned+fold/standard", SSAFlavor::Pruned, true, DestructKind::Standard},
     {"pruned+nofold/fast", SSAFlavor::Pruned, false, DestructKind::Fast},
     {"pruned+nofold/standard", SSAFlavor::Pruned, false,
@@ -92,13 +86,13 @@ constexpr OracleConfig Configs[] = {
     // over already-folded copies; the nofold pair leaves every input copy
     // for SCCP's own forwarding, then runs the full three-pass sequence.
     {"pruned+fold/fast+sccp", SSAFlavor::Pruned, true, DestructKind::Fast,
-     {}, "sccp"},
+     "sccp"},
     {"pruned+fold/standard+sccp", SSAFlavor::Pruned, true,
-     DestructKind::Standard, {}, "sccp"},
+     DestructKind::Standard, "sccp"},
     {"pruned+nofold/fast+sccp,adce,pre", SSAFlavor::Pruned, false,
-     DestructKind::Fast, {}, "sccp,adce,pre"},
+     DestructKind::Fast, "sccp,adce,pre"},
     {"pruned+nofold/standard+sccp,adce,pre", SSAFlavor::Pruned, false,
-     DestructKind::Standard, {}, "sccp,adce,pre"},
+     DestructKind::Standard, "sccp,adce,pre"},
 };
 constexpr unsigned NumConfigs = sizeof(Configs) / sizeof(Configs[0]);
 
@@ -143,17 +137,28 @@ std::string formatArgs(const std::vector<int64_t> &Args) {
   return Out;
 }
 
+/// Throws when \p F, after \p Stage, is not in SSA form: every
+/// configuration's coalescer and liveness presume it.
+void requireSSAForm(const Function &F, const DominatorTree &DT,
+                    const char *Stage) {
+  std::string Error;
+  if (!verifySSAForm(F, DT, Error))
+    throw std::logic_error(std::string("not in SSA form after ") + Stage +
+                           ": " + Error);
+}
+
 /// Transforms \p F under \p C. Returns false (with \p Error filled) only
 /// for a checker refutation; structural problems surface via the caller's
-/// re-verification, crashes via the caller's catch.
+/// re-verification, crashes and SSA violations via the caller's catch.
 bool runConfig(Function &F, const OracleConfig &C, std::string &Error) {
   splitCriticalEdges(F);
   std::optional<DominatorTree> DT;
-  DT.emplace(F, C.Analyses.Dominators);
+  DT.emplace(F);
   SSABuildOptions Build;
   Build.Flavor = C.Flavor;
   Build.FoldCopies = C.Fold;
   buildSSA(F, *DT, Build);
+  requireSSAForm(F, *DT, "buildSSA");
 
   if (C.Passes && *C.Passes) {
     std::vector<PassKind> Seq;
@@ -168,7 +173,8 @@ bool runConfig(Function &F, const OracleConfig &C, std::string &Error) {
     // Branch folding can merge blocks' edges and delete blocks; restore
     // the pipeline invariants the coalescers assume.
     splitCriticalEdges(F);
-    DT.emplace(F, C.Analyses.Dominators);
+    DT.emplace(F);
+    requireSSAForm(F, *DT, C.Passes);
   }
 
   switch (C.Destruct) {
@@ -177,7 +183,7 @@ bool runConfig(Function &F, const OracleConfig &C, std::string &Error) {
     return true;
   case DestructKind::Fast:
   case DestructKind::FastChecked: {
-    Liveness LV(F, C.Analyses.Liveness);
+    Liveness LV(F);
     FastCoalescer Coalescer(F, *DT, LV);
     Coalescer.computePartition();
     if (C.Destruct == DestructKind::FastChecked &&
@@ -201,51 +207,26 @@ bool runConfig(Function &F, const OracleConfig &C, std::string &Error) {
 }
 
 /// Direct analysis cross-validation on one fresh copy of the function:
-/// build dominators with both algorithms and demand identical results —
-/// idom, preorder and max-preorder per block — then check liveness against
-/// the dense reference on the pre-SSA input and, in both solver modes, on
-/// its pruned+fold SSA form. Catches any divergence long before it could
-/// bias a pipeline comparison. Returns false with \p Detail set to the
-/// first disagreement.
+/// dominators and, when every block reaches a ret, postdominators against
+/// the iterative reference, then liveness against the dense reference on
+/// the pre-SSA input and on its pruned+fold SSA form. Catches any
+/// divergence long before it could bias a pipeline comparison. Returns
+/// false with \p Detail set to the first disagreement.
 bool crossValidateAnalyses(Function &F, std::string &Detail) {
   splitCriticalEdges(F);
-  DominatorTree Chk(F, DomAlgorithm::CHK);
-  DominatorTree Dsu(F, DomAlgorithm::DSU);
-  for (const auto &B : F.blocks()) {
-    if (Chk.idom(B.get()) != Dsu.idom(B.get())) {
-      auto Name = [](BasicBlock *D) {
-        return D ? D->name() : std::string("<none>");
-      };
-      Detail = "idom(" + B->name() + "): CHK " + Name(Chk.idom(B.get())) +
-               " != DSU " + Name(Dsu.idom(B.get()));
-      return false;
-    }
-    if (Chk.preorder(B.get()) != Dsu.preorder(B.get()) ||
-        Chk.maxPreorder(B.get()) != Dsu.maxPreorder(B.get())) {
-      Detail = "preorder(" + B->name() + "): CHK [" +
-               std::to_string(Chk.preorder(B.get())) + "," +
-               std::to_string(Chk.maxPreorder(B.get())) + "] != DSU [" +
-               std::to_string(Dsu.preorder(B.get())) + "," +
-               std::to_string(Dsu.maxPreorder(B.get())) + "]";
-      return false;
-    }
-  }
-
+  if (!compareDominators(F, Detail) || !comparePostDominators(F, Detail))
+    return false;
   if (!compareLiveness(F, Liveness(F), Detail)) {
     Detail = "pre-ssa " + Detail;
     return false;
   }
   SSABuildOptions Build;
   Build.FoldCopies = true;
-  buildSSA(F, Chk, Build);
-  for (LivenessAlgorithm Algo :
-       {LivenessAlgorithm::Dense, LivenessAlgorithm::Sparse})
-    if (!compareLiveness(F, Liveness(F, Algo), Detail)) {
-      Detail = std::string("ssa ") +
-               (Algo == LivenessAlgorithm::Sparse ? "sparse " : "dense ") +
-               Detail;
-      return false;
-    }
+  buildSSA(F, DominatorTree(F), Build);
+  if (!compareLiveness(F, Liveness(F), Detail)) {
+    Detail = "ssa " + Detail;
+    return false;
+  }
   return true;
 }
 
@@ -490,8 +471,7 @@ OracleResult fcc::runDifferentialOracle(const std::string &IrText,
     ExtraPasses = passSequenceName(Opts.Passes);
     ExtraName = "pruned+fold/fast-checked+" + ExtraPasses;
     OracleConfig Extra = {ExtraName.c_str(), SSAFlavor::Pruned, true,
-                          DestructKind::FastChecked, {},
-                          ExtraPasses.c_str()};
+                          DestructKind::FastChecked, ExtraPasses.c_str()};
     Run.push_back(Extra);
   }
   const unsigned NumRun = static_cast<unsigned>(Run.size());
@@ -593,12 +573,10 @@ OracleResult fcc::runDifferentialOracle(const std::string &IrText,
     }
   }
 
-  // Direct analysis cross-validation: both dominator algorithms, and
-  // liveness against the dense reference before and after SSA
-  // construction, over one fresh copy of every function (independent of
-  // the end-to-end legacy-analyses configuration above, which only
-  // observes divergence through pipeline output; the Briggs* and spill
-  // outputs were checked above).
+  // Direct analysis cross-validation: dominators and postdominators
+  // against the iterative reference, and liveness against the dense
+  // reference before and after SSA construction, over one fresh copy of
+  // every function (the Briggs* and spill outputs were checked above).
   {
     std::string ParseError;
     std::unique_ptr<Module> M = parseModule(IrText, ParseError);

@@ -18,12 +18,14 @@
 ///   - the graph-coloring allocator's assignment over the fast-coalesced
 ///     code is interference-free (re-derived from scratch liveness, not
 ///     from the allocator's own graph);
-///   - the analyses agree with their references: the DSU and CHK dominator
-///     algorithms must decorate identical trees, and liveness must fill the
-///     same sets as the dense fixed point (fuzz/ReferenceLiveness.h) on the
-///     pre-SSA input, its SSA form, the Briggs* output and the
-///     spill-rewritten code (plus an end-to-end configuration that runs the
-///     paper pipeline under the legacy analyses);
+///   - the analyses agree with their references: dominators, and
+///     postdominators wherever every block reaches a ret, must match the
+///     iterative fixed point (fuzz/ReferenceDominators.h), and liveness
+///     must fill the same sets as the dense fixed point
+///     (fuzz/ReferenceLiveness.h) on the pre-SSA input, its SSA form, the
+///     Briggs* output and the spill-rewritten code; every configuration's
+///     SSA form, after construction and after its passes, must pass
+///     verifySSAForm;
 ///   - the fast coalescer's incremental set building reaches the same
 ///     partition as the full-rescan reference (fuzz/ReferenceCoalescer.h),
 ///     in eager and in lazy mode.
@@ -82,8 +84,8 @@ enum class DivergenceKind {
                     ///< destruction of the same SSA flavor.
   AllocUnsound,     ///< A definition writes a register another variable
                     ///< live across it occupies (copy sources exempt).
-  AnalysisMismatch, ///< DSU vs CHK dominators, or liveness vs the dense
-                    ///< reference (fuzz/ReferenceLiveness.h), disagreed.
+  AnalysisMismatch, ///< (Post)dominators or liveness disagreed with their
+                    ///< references (fuzz/Reference*.h).
   CoalescerMismatch, ///< FastCoalescer's partition differs from the
                      ///< full-rescan reference (fuzz/ReferenceCoalescer.h).
   InternalError,    ///< A pass threw; captured, remaining configs still ran.

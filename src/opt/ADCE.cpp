@@ -4,167 +4,29 @@
 
 #include "opt/PassManager.h"
 
+#include "analysis/DominatorTree.h"
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
 #include "ir/Variable.h"
 
-#include <cassert>
 #include <memory>
 #include <unordered_set>
 #include <vector>
 
 using namespace fcc;
 
-namespace {
-
-/// Postdominator tree over the CFG plus a virtual exit node (index
-/// numBlocks) that every return block flows into. Built with the
-/// Cooper–Harvey–Kennedy iterative scheme on the reverse graph; only valid
-/// when every block can reach a return (the caller checks).
-struct PostDomTree {
-  unsigned Exit;
-  std::vector<unsigned> IPdom;  // node -> immediate postdominator
-  std::vector<unsigned> RpoNum; // node -> reverse-graph RPO number
-
-  explicit PostDomTree(const Function &F) {
-    const unsigned N = F.numBlocks();
-    Exit = N;
-    const unsigned Undef = N + 1;
-    IPdom.assign(N + 1, Undef);
-    RpoNum.assign(N + 1, Undef);
-
-    // Reverse-graph successors of a block are its CFG predecessors; the
-    // virtual exit's successors are the return blocks.
-    std::vector<unsigned> ExitSuccs;
-    for (const auto &B : F.blocks())
-      if (B->hasTerminator() && B->terminator()->opcode() == Opcode::Ret)
-        ExitSuccs.push_back(B->id());
-
-    // Reverse postorder of the reverse graph, rooted at the exit.
-    std::vector<unsigned> Order; // postorder, reversed below
-    Order.reserve(N + 1);
-    std::vector<unsigned char> Seen(N + 1, 0);
-    // Frame: (node, next child index).
-    std::vector<std::pair<unsigned, unsigned>> Stack{{Exit, 0}};
-    Seen[Exit] = 1;
-    auto ChildrenOf = [&](unsigned Node) -> const std::vector<unsigned> * {
-      return Node == Exit ? &ExitSuccs : nullptr;
-    };
-    while (!Stack.empty()) {
-      auto &[Node, Next] = Stack.back();
-      const std::vector<unsigned> *Special = ChildrenOf(Node);
-      unsigned Count = Special ? static_cast<unsigned>(Special->size())
-                               : F.block(Node)->getNumPreds();
-      if (Next == Count) {
-        Order.push_back(Node);
-        Stack.pop_back();
-        continue;
-      }
-      unsigned Child = Special ? (*Special)[Next]
-                               : F.block(Node)->preds()[Next]->id();
-      ++Next;
-      if (!Seen[Child]) {
-        Seen[Child] = 1;
-        Stack.push_back({Child, 0});
-      }
-    }
-    std::vector<unsigned> Rpo(Order.rbegin(), Order.rend());
-    for (unsigned I = 0; I != Rpo.size(); ++I)
-      RpoNum[Rpo[I]] = I;
-
-    IPdom[Exit] = Exit;
-    auto Intersect = [&](unsigned A, unsigned B) {
-      while (A != B) {
-        while (RpoNum[A] > RpoNum[B])
-          A = IPdom[A];
-        while (RpoNum[B] > RpoNum[A])
-          B = IPdom[B];
-      }
-      return A;
-    };
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (unsigned Node : Rpo) {
-        if (Node == Exit)
-          continue;
-        // Reverse-graph predecessors: the block's CFG successors, plus the
-        // exit when the block returns.
-        unsigned NewIPdom = Undef;
-        const BasicBlock *B = F.block(Node);
-        Instruction *Term = B->terminator();
-        if (Term->opcode() == Opcode::Ret)
-          NewIPdom = Exit;
-        for (const BasicBlock *S : Term->successors()) {
-          unsigned P = S->id();
-          if (IPdom[P] == Undef)
-            continue;
-          NewIPdom = NewIPdom == Undef ? P : Intersect(NewIPdom, P);
-        }
-        if (NewIPdom != Undef && IPdom[Node] != NewIPdom) {
-          IPdom[Node] = NewIPdom;
-          Changed = true;
-        }
-      }
-    }
-  }
-};
-
-/// True when every block can reach a Ret terminator (walking CFG edges
-/// backwards from the return blocks covers the whole function).
-bool allBlocksReachExit(const Function &F) {
-  std::vector<unsigned char> Seen(F.numBlocks(), 0);
-  std::vector<const BasicBlock *> Stack;
-  for (const auto &B : F.blocks())
-    if (B->hasTerminator() && B->terminator()->opcode() == Opcode::Ret) {
-      Seen[B->id()] = 1;
-      Stack.push_back(B.get());
-    }
-  while (!Stack.empty()) {
-    const BasicBlock *B = Stack.back();
-    Stack.pop_back();
-    for (const BasicBlock *P : B->preds())
-      if (!Seen[P->id()]) {
-        Seen[P->id()] = 1;
-        Stack.push_back(P);
-      }
-  }
-  for (const auto &B : F.blocks())
-    if (!Seen[B->id()])
-      return false;
-  return true;
-}
-
-} // namespace
-
 ADCEStats fcc::runADCE(Function &F) {
   ADCEStats Stats;
   const unsigned N = F.numBlocks();
 
-  // An unreturning region forbids branch surgery (it could accidentally
-  // restore termination); fall back to keeping every terminator live.
-  const bool CanRetarget = allBlocksReachExit(F);
-
+  // Postdominators and control dependence. An unreturning region (some
+  // block reaches no ret) forbids branch surgery, since it could
+  // accidentally restore termination; then every terminator stays live.
+  PostDominatorTree PDT(F);
+  const bool CanRetarget = PDT.complete();
   std::vector<std::vector<const BasicBlock *>> RDF(N);
-  std::vector<unsigned> IPdom;
-  unsigned Exit = N;
-  if (CanRetarget) {
-    PostDomTree PDT(F);
-    IPdom = PDT.IPdom;
-    Exit = PDT.Exit;
-    // Reverse dominance frontiers, CHK-style: for every branch block X,
-    // walk each successor up the postdominator chain to ipdom(X); every
-    // block on the walk is control-dependent on X.
-    for (const auto &X : F.blocks()) {
-      Instruction *Term = X->terminator();
-      if (Term->getNumSuccessors() < 2)
-        continue;
-      for (const BasicBlock *S : Term->successors())
-        for (unsigned Runner = S->id(); Runner != IPdom[X->id()];
-             Runner = IPdom[Runner])
-          RDF[Runner].push_back(X.get());
-    }
-  }
+  if (CanRetarget)
+    RDF = PDT.controlDependence();
 
   // Defining instruction of each variable (parameters have none).
   std::vector<Instruction *> DefOf(F.numVariables(), nullptr);
@@ -253,12 +115,11 @@ ADCEStats fcc::runADCE(Function &F) {
       Instruction *Term = B->terminator();
       if (Term->opcode() != Opcode::CondBr || Live.count(Term))
         continue;
-      unsigned Runner = IPdom[B->id()];
-      while (Runner != Exit && !BlockHasLive[Runner])
-        Runner = IPdom[Runner];
-      if (Runner == Exit)
+      BasicBlock *R = PDT.ipdom(B.get());
+      while (R && !BlockHasLive[R->id()])
+        R = PDT.ipdom(R);
+      if (!R)
         continue; // No live postdominator; leave the branch alone.
-      BasicBlock *R = F.block(Runner);
       BasicBlock *Succ0 = Term->getSuccessor(0);
       BasicBlock *Succ1 = Term->getSuccessor(1);
       if (Succ0 == Succ1) {

@@ -35,28 +35,6 @@ const char *fcc::pipelineName(PipelineKind Kind) {
   return "<invalid>";
 }
 
-const char *fcc::analysisStrategyName(AnalysisStrategy Strategy) {
-  bool Dsu = Strategy.Dominators == DomAlgorithm::DSU;
-  if (Strategy.Liveness == LivenessAlgorithm::Sparse)
-    return Dsu ? "dsu+sparse" : "chk+sparse";
-  return Dsu ? "dsu+dense" : "chk+dense";
-}
-
-bool fcc::parseAnalysisStrategy(const std::string &Text,
-                                AnalysisStrategy &Out) {
-  if (Text == "fast" || Text == "dsu+sparse")
-    Out = AnalysisStrategy{};
-  else if (Text == "legacy" || Text == "chk+dense")
-    Out = legacyAnalyses();
-  else if (Text == "dsu+dense")
-    Out = {DomAlgorithm::DSU, LivenessAlgorithm::Dense};
-  else if (Text == "chk+sparse")
-    Out = {DomAlgorithm::CHK, LivenessAlgorithm::Sparse};
-  else
-    return false;
-  return true;
-}
-
 // The optional optimization stage: runs the configured pass sequence over
 // the freshly built SSA form. Passes may fold branches and delete blocks,
 // so critical edges are re-split (ADCE retargeting can create new ones)
@@ -80,7 +58,7 @@ static uint64_t runOptStage(Function &F, const PipelineOptions &Opts,
   }
   {
     PhaseScope P(Opts.Instr, "opt-redominate", "opt", Ph);
-    DT.emplace(F, Opts.Analyses.Dominators);
+    DT.emplace(F);
   }
   return OptClock.elapsedMicros();
 }
@@ -107,10 +85,14 @@ static void runRegallocStage(Function &F, const PipelineOptions &Opts,
   Result.RegallocIterations = R.Iterations;
 }
 
-PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
+// Both entry points: runPipeline, and runPipelineChecked with \p CheckError
+// set, which adds the audit to the New configuration and returns false on
+// a refutation.
+static bool runPipelineImpl(Function &F, const PipelineOptions &Opts,
+                            PipelineResult &Result, std::string *CheckError) {
   const PipelineKind Kind = Opts.Kind;
   const Instrumentation *Instr = Opts.Instr;
-  PipelineResult Result;
+  Result = PipelineResult();
   Result.Kind = Kind;
   // When instrumented, every top-level phase lands in Result.Phases; only
   // the "pipeline"-category ones below run inside the paper's clock.
@@ -120,23 +102,37 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
     Result.CriticalEdgesSplit = splitCriticalEdges(F);
   }
 
+  // Live-range web identification undoes SSA renaming by name: it relies
+  // on every phi web mirroring exactly one source variable, which holds
+  // only for unoptimized, unfolded SSA. SCCP's copy forwarding can merge
+  // names from distinct origins (even two parameters) into one web, and
+  // rewriting such a web to one name would change semantics — so the opt
+  // stage is a configuration error for the Briggs pipelines, not a silent
+  // no-op.
+  const bool IsBriggs =
+      Kind == PipelineKind::Briggs || Kind == PipelineKind::BriggsImproved;
+  if (IsBriggs && !Opts.Passes.empty())
+    throw std::invalid_argument(
+        "optimization passes are not supported with the Briggs pipelines "
+        "(live-range webs assume unoptimized SSA)");
+
   Timer Clock; // The paper's timer: starts right before SSA construction.
+  std::optional<DominatorTree> DT;
+  {
+    PhaseScope P(Instr, "dominators", "pipeline", Ph);
+    DT.emplace(F);
+  }
+  SSABuildOptions BuildOpts;
+  BuildOpts.FoldCopies = !IsBriggs;
+  SSABuildStats Ssa;
+  {
+    PhaseScope P(Instr, "ssa-build", "pipeline", Ph);
+    Ssa = buildSSA(F, *DT, BuildOpts);
+  }
+  uint64_t OptMicros = runOptStage(F, Opts, DT, Result, Ph);
 
   switch (Kind) {
   case PipelineKind::Standard: {
-    std::optional<DominatorTree> DT;
-    {
-      PhaseScope P(Instr, "dominators", "pipeline", Ph);
-      DT.emplace(F, Opts.Analyses.Dominators);
-    }
-    SSABuildOptions BuildOpts;
-    BuildOpts.FoldCopies = true;
-    SSABuildStats Ssa;
-    {
-      PhaseScope P(Instr, "ssa-build", "pipeline", Ph);
-      Ssa = buildSSA(F, *DT, BuildOpts);
-    }
-    uint64_t OptMicros = runOptStage(F, Opts, DT, Result, Ph);
     DestructionStats Destr;
     {
       PhaseScope P(Instr, "rewrite", "pipeline", Ph);
@@ -150,23 +146,10 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
     break;
   }
   case PipelineKind::New: {
-    std::optional<DominatorTree> DT;
-    {
-      PhaseScope P(Instr, "dominators", "pipeline", Ph);
-      DT.emplace(F, Opts.Analyses.Dominators);
-    }
-    SSABuildOptions BuildOpts;
-    BuildOpts.FoldCopies = true;
-    SSABuildStats Ssa;
-    {
-      PhaseScope P(Instr, "ssa-build", "pipeline", Ph);
-      Ssa = buildSSA(F, *DT, BuildOpts);
-    }
-    uint64_t OptMicros = runOptStage(F, Opts, DT, Result, Ph);
     std::optional<Liveness> LV;
     {
       PhaseScope P(Instr, "liveness", "pipeline", Ph);
-      LV.emplace(F, Opts.Analyses.Liveness);
+      LV.emplace(F);
     }
     FastCoalescerOptions CoOpts;
     CoOpts.Instr = Instr;
@@ -176,13 +159,36 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
       Coalescer.emplace(F, *DT, *LV, CoOpts);
       Coalescer->computePartition();
     }
+    // The audit is diagnostics, not conversion work: keep its cost out of
+    // the paper-comparable timing (and out of the "pipeline" phase
+    // samples). The partition check presumes SSA form, so that is verified
+    // first.
+    uint64_t CheckMicros = 0;
+    if (CheckError) {
+      Timer CheckClock;
+      bool Valid;
+      {
+        PhaseScope P(Instr, "partition-check", "audit");
+        Valid = verifySSAForm(F, *DT, *CheckError);
+        if (!Valid)
+          *CheckError = "not in SSA form: " + *CheckError;
+        else
+          Valid = checkCoalescing(
+              F, *LV, [&](const Variable *V) { return Coalescer->rep(V); },
+              *CheckError);
+      }
+      CheckMicros = CheckClock.elapsedMicros();
+      if (!Valid)
+        return false;
+    }
     FastCoalesceStats Co;
     {
       PhaseScope P(Instr, "rewrite", "pipeline", Ph);
       Co = Coalescer->rewrite();
     }
     uint64_t Elapsed = Clock.elapsedMicros();
-    Result.TimeMicros = Elapsed > OptMicros ? Elapsed - OptMicros : 0;
+    uint64_t Excluded = CheckMicros + OptMicros;
+    Result.TimeMicros = Elapsed > Excluded ? Elapsed - Excluded : 0;
     Result.PhisInserted = Ssa.PhisInserted;
     Result.PeakBytes =
         std::max(Ssa.PeakBytes, Co.PeakBytes + LV->bytes()) + DT->bytes();
@@ -190,28 +196,6 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
   }
   case PipelineKind::Briggs:
   case PipelineKind::BriggsImproved: {
-    // Live-range web identification undoes SSA renaming by name: it relies
-    // on every phi web mirroring exactly one source variable, which holds
-    // only for unoptimized, unfolded SSA. SCCP's copy forwarding can merge
-    // names from distinct origins (even two parameters) into one web, and
-    // rewriting such a web to one name would change semantics — so the opt
-    // stage is a configuration error here, not a silent no-op.
-    if (!Opts.Passes.empty())
-      throw std::invalid_argument(
-          "optimization passes are not supported with the Briggs pipelines "
-          "(live-range webs assume unoptimized SSA)");
-    std::optional<DominatorTree> DT;
-    {
-      PhaseScope P(Instr, "dominators", "pipeline", Ph);
-      DT.emplace(F, Opts.Analyses.Dominators);
-    }
-    SSABuildOptions BuildOpts;
-    BuildOpts.FoldCopies = false;
-    SSABuildStats Ssa;
-    {
-      PhaseScope P(Instr, "ssa-build", "pipeline", Ph);
-      Ssa = buildSSA(F, *DT, BuildOpts);
-    }
     {
       PhaseScope P(Instr, "live-range-webs", "pipeline", Ph);
       identifyLiveRangeWebs(F);
@@ -237,76 +221,20 @@ PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
 
   Result.StaticCopies = F.staticCopyCount();
   runRegallocStage(F, Opts, Result, Ph);
+  return true;
+}
+
+PipelineResult fcc::runPipeline(Function &F, const PipelineOptions &Opts) {
+  PipelineResult Result;
+  runPipelineImpl(F, Opts, Result, nullptr);
   return Result;
 }
 
 bool fcc::runPipelineChecked(Function &F, const PipelineOptions &Opts,
                              PipelineResult &Result, std::string &Error) {
-  const Instrumentation *Instr = Opts.Instr;
-  Result = PipelineResult();
-  Result.Kind = PipelineKind::New;
-  std::vector<PhaseSample> *Ph = Instr ? &Result.Phases : nullptr;
-  {
-    PhaseScope Split(Instr, "split-critical-edges", "setup", Ph);
-    Result.CriticalEdgesSplit = splitCriticalEdges(F);
-  }
-
-  Timer Clock;
-  std::optional<DominatorTree> DT;
-  {
-    PhaseScope P(Instr, "dominators", "pipeline", Ph);
-    DT.emplace(F, Opts.Analyses.Dominators);
-  }
-  SSABuildOptions BuildOpts;
-  BuildOpts.FoldCopies = true;
-  SSABuildStats Ssa;
-  {
-    PhaseScope P(Instr, "ssa-build", "pipeline", Ph);
-    Ssa = buildSSA(F, *DT, BuildOpts);
-  }
-  uint64_t OptMicros = runOptStage(F, Opts, DT, Result, Ph);
-  std::optional<Liveness> LV;
-  {
-    PhaseScope P(Instr, "liveness", "pipeline", Ph);
-    LV.emplace(F, Opts.Analyses.Liveness);
-  }
-
-  FastCoalescerOptions CoOpts;
-  CoOpts.Instr = Instr;
-  std::optional<FastCoalescer> Coalescer;
-  {
-    PhaseScope P(Instr, "forest-walk", "pipeline", Ph);
-    Coalescer.emplace(F, *DT, *LV, CoOpts);
-    Coalescer->computePartition();
-  }
-
-  // The audit is diagnostics, not conversion work: keep its cost out of the
-  // paper-comparable timing (and out of the "pipeline" phase samples).
-  Timer CheckClock;
-  bool Valid;
-  {
-    PhaseScope P(Instr, "partition-check", "audit");
-    Valid = checkCoalescing(
-        F, *LV, [&](const Variable *V) { return Coalescer->rep(V); }, Error);
-  }
-  uint64_t CheckMicros = CheckClock.elapsedMicros();
-  if (!Valid)
-    return false;
-
-  FastCoalesceStats Co;
-  {
-    PhaseScope P(Instr, "rewrite", "pipeline", Ph);
-    Co = Coalescer->rewrite();
-  }
-  uint64_t Elapsed = Clock.elapsedMicros();
-  uint64_t Excluded = CheckMicros + OptMicros;
-  Result.TimeMicros = Elapsed > Excluded ? Elapsed - Excluded : 0;
-  Result.PhisInserted = Ssa.PhisInserted;
-  Result.PeakBytes =
-      std::max(Ssa.PeakBytes, Co.PeakBytes + LV->bytes()) + DT->bytes();
-  Result.StaticCopies = F.staticCopyCount();
-  runRegallocStage(F, Opts, Result, Ph);
-  return true;
+  PipelineOptions New = Opts;
+  New.Kind = PipelineKind::New;
+  return runPipelineImpl(F, New, Result, &Error);
 }
 
 RoutineReport fcc::runOnRoutine(const RoutineSpec &Spec, PipelineKind Kind,

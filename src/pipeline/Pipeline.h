@@ -55,34 +55,6 @@ enum class PipelineKind { Standard, New, Briggs, BriggsImproved };
 /// Display name ("Standard", "New", "Briggs", "Briggs*").
 const char *pipelineName(PipelineKind Kind);
 
-/// Which implementations back the pipeline's dominator and liveness
-/// analyses. Strictly an implementation choice: both dominator algorithms
-/// decorate the identical (unique) tree, and both liveness values run the
-/// one solver (Sparse additionally checks the SSA preconditions), so
-/// rewritten code, reports and PeakBytes are byte-for-byte the same under
-/// any strategy — the DifferentialOracle cross-validates exactly that on
-/// every fuzz campaign. The default is the near-linear pair;
-/// legacyAnalyses() is the pre-DSU configuration kept for A/B measurement
-/// and differential testing.
-struct AnalysisStrategy {
-  DomAlgorithm Dominators = DomAlgorithm::DSU;
-  LivenessAlgorithm Liveness = LivenessAlgorithm::Sparse;
-};
-
-/// The original configuration: CHK dominators, liveness without the SSA
-/// check.
-constexpr AnalysisStrategy legacyAnalyses() {
-  return {DomAlgorithm::CHK, LivenessAlgorithm::Dense};
-}
-
-/// Canonical spelling: "dsu+sparse", "dsu+dense", "chk+sparse", "chk+dense".
-const char *analysisStrategyName(AnalysisStrategy Strategy);
-
-/// Parses an --analysis= value: a canonical spelling, or the aliases
-/// "fast" (dsu+sparse) and "legacy" (chk+dense). Returns false on anything
-/// else, leaving \p Out untouched.
-bool parseAnalysisStrategy(const std::string &Text, AnalysisStrategy &Out);
-
 /// Measurements from one pipeline run over one function.
 struct PipelineResult {
   PipelineKind Kind = PipelineKind::Standard;
@@ -133,7 +105,14 @@ struct PipelineResult {
 /// Everything one pipeline invocation can be configured with.
 struct PipelineOptions {
   PipelineKind Kind = PipelineKind::New;
-  AnalysisStrategy Analyses;
+  /// Two single-value tags that the DominatorTree and Liveness constructors
+  /// accept and ignore. They exist only because perfbench/src/Compile.cpp,
+  /// which the benchmark builds as it stands, passes them; nothing else
+  /// reads or sets them.
+  struct {
+    DominatorsTag Dominators;
+    LivenessTag Liveness;
+  } Analyses;
   /// When non-null, each phase is timed into Result.Phases and reported to
   /// the instrumentation's sinks (registry counters/timers, Chrome trace
   /// events); null is the uninstrumented fast path with no extra clock
@@ -161,7 +140,7 @@ struct PipelineOptions {
 /// strict, phi-free input program.
 PipelineResult runPipeline(Function &F, const PipelineOptions &Opts);
 
-/// Convenience overload with the default analysis strategy.
+/// Convenience overload: \p Kind with default options.
 inline PipelineResult runPipeline(Function &F, PipelineKind Kind,
                                   const Instrumentation *Instr = nullptr) {
   PipelineOptions Opts;
@@ -171,17 +150,18 @@ inline PipelineResult runPipeline(Function &F, PipelineKind Kind,
 }
 
 /// The New configuration with a safety net: after the coalescer decides its
-/// partition (phases 1-4) and before any rewriting, the assignment is
-/// cross-validated with CoalescingChecker against exact SSA liveness. On
+/// partition (phases 1-4) and before any rewriting, verifySSAForm checks
+/// the SSA form and the assignment is cross-validated with
+/// CoalescingChecker against exact SSA liveness. On
 /// success behaves exactly like runPipeline with Kind New (Opts.Kind is
 /// ignored), with the checker's own time excluded from TimeMicros (and from
 /// the "pipeline" phase samples — the audit traces under category "audit").
-/// On refutation returns false, fills \p Error with the offending pair and
-/// leaves \p F in SSA form.
+/// On refutation returns false, fills \p Error with the SSA violation or
+/// the offending pair and leaves \p F in SSA form.
 bool runPipelineChecked(Function &F, const PipelineOptions &Opts,
                         PipelineResult &Result, std::string &Error);
 
-/// Convenience overload with the default analysis strategy.
+/// Convenience overload with default options.
 inline bool runPipelineChecked(Function &F, PipelineResult &Result,
                                std::string &Error,
                                const Instrumentation *Instr = nullptr) {

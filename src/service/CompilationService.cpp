@@ -63,8 +63,6 @@ uint64_t configFingerprint(const ServiceOptions &O) {
   Hasher128 H;
   H.absorb(0xfccc0f19); // Domain tag: service configuration.
   H.absorb(static_cast<uint64_t>(O.Pipeline));
-  H.absorb(static_cast<uint64_t>(O.Analyses.Dominators) << 8 |
-           static_cast<uint64_t>(O.Analyses.Liveness));
   // The canonical machine name determines the model (classes and bank
   // sizes) uniquely, and the model changes both the rewritten text and the
   // report's allocation columns.
@@ -337,7 +335,6 @@ UnitReport CompilationService::compileUnit(const WorkUnit &Unit,
     const Instrumentation *InstrPtr = Observe ? &Instr : nullptr;
     PipelineOptions PipeOpts;
     PipeOpts.Kind = Opts.Pipeline;
-    PipeOpts.Analyses = Opts.Analyses;
     PipeOpts.Instr = InstrPtr;
     PipeOpts.Machine = Opts.Machine ? &*Opts.Machine : nullptr;
     PipeOpts.Passes = Opts.Passes;

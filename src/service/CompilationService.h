@@ -46,11 +46,6 @@ class TraceWriter;
 /// Knobs for one batch run.
 struct ServiceOptions {
   PipelineKind Pipeline = PipelineKind::New;
-  /// Which dominator / liveness implementations back the pipeline (see
-  /// pipeline/Pipeline.h). Behaviour-preserving, but folded into the cache
-  /// key anyway — fingerprinting every knob is cheaper than proving each
-  /// new one can never change report bytes.
-  AnalysisStrategy Analyses;
   /// When set, a register-allocation stage follows the pipeline: each
   /// function is colored against this machine's banks with spill code
   /// inserted until allocation succeeds (PipelineOptions::Machine). The

@@ -256,7 +256,7 @@ bool fcc::verifySSAForm(const Function &F, const DominatorTree &DT,
     if (!Def)
       return true;
     if (DefSite[Def->id()]) {
-      Error = "variable '" + Def->name() + "' has multiple definitions";
+      Error = "variable '" + Def->name() + "' has more than one definition";
       return false;
     }
     DefSite[Def->id()] = &I;
@@ -276,28 +276,31 @@ bool fcc::verifySSAForm(const Function &F, const DominatorTree &DT,
       return false;
     }
 
-  // A definition in block D reaches a use in block U when D strictly
+  // Why a use is not reached by its definition, or nullptr when it is: a
+  // definition in block D reaches a use in block U when D strictly
   // dominates U, or D == U and the def precedes the use in the body.
-  auto DefDominatesUse = [&](const Variable *V, const BasicBlock *UseBlock,
-                             const Instruction *UseInst) {
+  auto UseProblem = [&](const Variable *V, const BasicBlock *UseBlock,
+                        const Instruction *UseInst) -> const char * {
     if (F.isParam(V))
-      return true; // Defined at entry, which dominates everything.
+      return nullptr; // Defined at entry, which dominates everything.
     const Instruction *Def = DefSite[V->id()];
     if (!Def)
-      return false;
+      return "is used but never defined";
     const BasicBlock *DefBlock = Def->getParent();
     if (DefBlock != UseBlock)
-      return DT.strictlyDominates(DefBlock, UseBlock);
+      return DT.strictlyDominates(DefBlock, UseBlock)
+                 ? nullptr
+                 : "is not dominated by its definition";
     if (Def->isPhi())
-      return true; // Phi defs precede the whole body.
+      return nullptr; // Phi defs precede the whole body.
     for (const auto &I : UseBlock->insts()) {
       if (I.get() == Def)
-        return true; // Def first.
+        return nullptr; // Def first.
       if (I.get() == UseInst)
-        return false; // Use first.
+        return "is used above its definition";
     }
     assert(false && "use not found in its own block");
-    return false;
+    return "is not found in its own block";
   };
 
   for (const auto &B : F.blocks()) {
@@ -327,9 +330,10 @@ bool fcc::verifySSAForm(const Function &F, const DominatorTree &DT,
     for (const auto &I : B->insts()) {
       bool Ok = true;
       I->forEachUsedVar([&](Variable *V) {
-        if (Ok && !DefDominatesUse(V, B.get(), I.get())) {
-          Error = "use of '" + V->name() + "' in block '" + B->name() +
-                  "' is not dominated by its definition";
+        const char *Problem = Ok ? UseProblem(V, B.get(), I.get()) : nullptr;
+        if (Problem) {
+          Error = "variable '" + V->name() + "' in block '" + B->name() +
+                  "' " + Problem;
           Ok = false;
         }
       });

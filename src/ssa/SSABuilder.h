@@ -52,9 +52,12 @@ struct SSABuildStats {
 SSABuildStats buildSSA(Function &F, const DominatorTree &DT,
                        const SSABuildOptions &Opts = {});
 
-/// Checks SSA invariants: at most one definition per variable, definitions
-/// dominating every use (phi uses checked at the tail of the incoming edge's
-/// predecessor). Returns true when the function is in valid SSA form.
+/// The SSA checker: at most one definition per variable (parameters count
+/// as defined at entry), and definitions dominating every use (phi uses
+/// checked at the tail of the incoming edge's predecessor). Returns true
+/// when the function is in valid SSA form; otherwise \p Error names the
+/// variable and the violation (more than one definition, used above its
+/// definition, used but never defined, not dominated by its definition).
 bool verifySSAForm(const Function &F, const DominatorTree &DT,
                    std::string &Error);
 

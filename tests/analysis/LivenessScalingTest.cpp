@@ -36,7 +36,7 @@ size_t livenessBytes(const std::string &Text) {
   SSABuildOptions Build;
   Build.FoldCopies = true;
   buildSSA(F, DT, Build);
-  return Liveness(F, LivenessAlgorithm::Sparse).bytes();
+  return Liveness(F).bytes();
 }
 
 struct Shape {

@@ -27,13 +27,6 @@ TEST(DifferentialOracleTest, ConfigNamesAreUniqueAndCoverBothSchemes) {
       Found |= N.find(Piece) != std::string::npos;
     EXPECT_TRUE(Found) << "no config mentions '" << Piece << "'";
   }
-  // The legacy-analyses configuration: the paper pipeline end to end under
-  // CHK dominators and unchecked liveness, differentially against the
-  // default analyses of every other config.
-  bool HasLegacy = false;
-  for (const std::string &N : Names)
-    HasLegacy |= N == "pruned+fold/fast-legacy-analyses";
-  EXPECT_TRUE(HasLegacy);
 }
 
 TEST(DifferentialOracleTest, RunsTheAnalysisCrosscheckPerFunction) {

@@ -136,92 +136,4 @@ TEST(PipelineTest, DynamicCopiesNewAtMostStandard) {
   }
 }
 
-TEST(PipelineTest, AnalysisStrategyNamesRoundTrip) {
-  const AnalysisStrategy Strategies[] = {
-      {DomAlgorithm::DSU, LivenessAlgorithm::Sparse},
-      {DomAlgorithm::DSU, LivenessAlgorithm::Dense},
-      {DomAlgorithm::CHK, LivenessAlgorithm::Sparse},
-      {DomAlgorithm::CHK, LivenessAlgorithm::Dense}};
-  for (AnalysisStrategy S : Strategies) {
-    AnalysisStrategy Parsed;
-    ASSERT_TRUE(parseAnalysisStrategy(analysisStrategyName(S), Parsed));
-    EXPECT_EQ(Parsed.Dominators, S.Dominators);
-    EXPECT_EQ(Parsed.Liveness, S.Liveness);
-  }
-  AnalysisStrategy Parsed;
-  ASSERT_TRUE(parseAnalysisStrategy("fast", Parsed));
-  EXPECT_EQ(Parsed.Dominators, DomAlgorithm::DSU);
-  EXPECT_EQ(Parsed.Liveness, LivenessAlgorithm::Sparse);
-  ASSERT_TRUE(parseAnalysisStrategy("legacy", Parsed));
-  EXPECT_EQ(Parsed.Dominators, DomAlgorithm::CHK);
-  EXPECT_EQ(Parsed.Liveness, LivenessAlgorithm::Dense);
-  EXPECT_FALSE(parseAnalysisStrategy("", Parsed));
-  EXPECT_FALSE(parseAnalysisStrategy("dsu", Parsed));
-}
-
-TEST(PipelineTest, OutputIsByteIdenticalAcrossAnalysisStrategies) {
-  // The load-bearing guarantee behind making dsu+sparse the default: under
-  // every pipeline kind, every analysis strategy must produce the same
-  // rewritten code and the same report fields, byte for byte (timing
-  // aside). The oracle re-checks this continuously on fuzz campaigns; this
-  // is the deterministic fixture version.
-  const AnalysisStrategy Strategies[] = {
-      {DomAlgorithm::DSU, LivenessAlgorithm::Sparse},
-      {DomAlgorithm::DSU, LivenessAlgorithm::Dense},
-      {DomAlgorithm::CHK, LivenessAlgorithm::Sparse},
-      legacyAnalyses()};
-  const char *Programs[] = {testprogs::SumLoop, testprogs::VirtualSwap,
-                            testprogs::SwapLoop, testprogs::LostCopy,
-                            testprogs::NestedLoops};
-  for (PipelineKind Kind : AllKinds) {
-    for (const char *Text : Programs) {
-      auto RefM = parseSingleFunctionOrDie(Text);
-      Function &RefF = *RefM->functions()[0];
-      PipelineOptions RefOpts;
-      RefOpts.Kind = Kind;
-      RefOpts.Analyses = legacyAnalyses();
-      PipelineResult RefR = runPipeline(RefF, RefOpts);
-      std::string RefText = printFunction(RefF);
-      for (AnalysisStrategy S : Strategies) {
-        auto M = parseSingleFunctionOrDie(Text);
-        Function &F = *M->functions()[0];
-        PipelineOptions Opts;
-        Opts.Kind = Kind;
-        Opts.Analyses = S;
-        PipelineResult R = runPipeline(F, Opts);
-        EXPECT_EQ(printFunction(F), RefText)
-            << pipelineName(Kind) << " under " << analysisStrategyName(S);
-        EXPECT_EQ(R.PeakBytes, RefR.PeakBytes)
-            << pipelineName(Kind) << " under " << analysisStrategyName(S);
-        EXPECT_EQ(R.StaticCopies, RefR.StaticCopies);
-        EXPECT_EQ(R.PhisInserted, RefR.PhisInserted);
-        EXPECT_EQ(R.CriticalEdgesSplit, RefR.CriticalEdgesSplit);
-      }
-    }
-  }
-}
-
-TEST(PipelineTest, CheckedPipelineByteIdenticalAcrossAnalysisStrategies) {
-  for (const char *Text :
-       {testprogs::VirtualSwap, testprogs::SwapLoop, testprogs::LostCopy}) {
-    auto RefM = parseSingleFunctionOrDie(Text);
-    Function &RefF = *RefM->functions()[0];
-    PipelineResult RefR;
-    std::string Error;
-    PipelineOptions RefOpts;
-    RefOpts.Analyses = legacyAnalyses();
-    ASSERT_TRUE(runPipelineChecked(RefF, RefOpts, RefR, Error)) << Error;
-    std::string RefText = printFunction(RefF);
-
-    auto M = parseSingleFunctionOrDie(Text);
-    Function &F = *M->functions()[0];
-    PipelineResult R;
-    PipelineOptions Opts; // Default: dsu+sparse.
-    ASSERT_TRUE(runPipelineChecked(F, Opts, R, Error)) << Error;
-    EXPECT_EQ(printFunction(F), RefText);
-    EXPECT_EQ(R.PeakBytes, RefR.PeakBytes);
-    EXPECT_EQ(R.StaticCopies, RefR.StaticCopies);
-  }
-}
-
 } // namespace

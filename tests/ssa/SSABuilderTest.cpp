@@ -193,4 +193,44 @@ TEST(SSABuilderTest, StatsCountNamesCreated) {
   EXPECT_GT(Stats.PeakBytes, 0u);
 }
 
+/// verifySSAForm's verdict on \p Text, built into a function as written.
+std::string ssaError(const char *Text) {
+  auto M = parseSingleFunctionOrDie(Text);
+  Function &F = *M->functions()[0];
+  std::string Error;
+  EXPECT_FALSE(verifySSAForm(F, DominatorTree(F), Error));
+  return Error;
+}
+
+TEST(VerifySSAFormTest, RejectsMultipleDefinitions) {
+  // SumLoop before SSA construction redefines %i and %sum.
+  EXPECT_NE(ssaError(testprogs::SumLoop).find("more than one definition"),
+            std::string::npos);
+}
+
+TEST(VerifySSAFormTest, RejectsUseAboveDefinitionInBlock) {
+  std::string Error = ssaError(R"(
+func @ubd(%n) {
+entry:
+  %y = add %x, %n
+  %x = const 2
+  %z = add %y, %x
+  ret %z
+}
+)");
+  EXPECT_NE(Error.find("used above its definition"), std::string::npos)
+      << Error;
+}
+
+TEST(VerifySSAFormTest, RejectsUseOfNeverDefinedVariable) {
+  std::string Error = ssaError(R"(
+func @nodef(%n) {
+entry:
+  %y = add %ghost, %n
+  ret %y
+}
+)");
+  EXPECT_NE(Error.find("never defined"), std::string::npos) << Error;
+}
+
 } // namespace

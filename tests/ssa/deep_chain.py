@@ -6,7 +6,9 @@ over the tree overflows the native stack long before N = 10^5. The chain
 carries one variable so liveness stays small.
 
 usage: deep_chain.py FCC_OPT BLOCKS SECONDS [PIPELINE...]
-Compiles with each PIPELINE in turn (default: new). Fails when fcc-opt exits
+Compiles with each PIPELINE in turn (default: new). A PIPELINE is a pipeline
+name, optionally followed by more fcc-opt flags in the same argument
+("new --passes=sccp,adce,pre --machine=uniform4"). Fails when fcc-opt exits
 nonzero, prints the wrong result, or takes longer than SECONDS of wall-clock
 time for any one pipeline.
 """
@@ -27,22 +29,23 @@ def chain(blocks):
 
 
 def run(fcc_opt, path, blocks, seconds, pipeline):
+    name, *flags = pipeline.split()
+    pipeline = " ".join([f"--pipeline={name}", *flags])
     start = time.monotonic()
-    proc = subprocess.run([fcc_opt, path, f"--pipeline={pipeline}", "--run",
-                           "5"], capture_output=True, text=True)
+    proc = subprocess.run([fcc_opt, path, f"--pipeline={name}", *flags,
+                           "--run", "5"], capture_output=True, text=True)
     elapsed = time.monotonic() - start
     if proc.returncode != 0:
         print(proc.stderr[-2000:])
-        print(f"FAIL: fcc-opt --pipeline={pipeline} exited {proc.returncode} "
+        print(f"FAIL: fcc-opt {pipeline} exited {proc.returncode} "
               f"on {blocks} blocks")
         return False
     want = f"= {5 + blocks} "
     if want not in proc.stdout:
         print(proc.stdout[-2000:])
-        print(f"FAIL: expected '{want.strip()}' from --pipeline={pipeline} "
-              "--run")
+        print(f"FAIL: expected '{want.strip()}' from {pipeline} --run")
         return False
-    print(f"{blocks} blocks compiled with --pipeline={pipeline} and ran in "
+    print(f"{blocks} blocks compiled with {pipeline} and ran in "
           f"{elapsed:.2f}s (bound {seconds:.0f}s)")
     return elapsed <= seconds
 

@@ -9,10 +9,6 @@
 //   fcc-batch DIR|FILE... [options]
 //
 //   --pipeline=new|standard|briggs|briggs*  configuration (default new)
-//   --analysis=fast|legacy|dsu+sparse|chk+dense|dsu+dense|chk+sparse
-//                       analysis implementations backing the pipeline
-//                       (default fast = dsu+sparse); reports are
-//                       byte-identical across choices
 //   --machine=uniformN|dsp|embedded
 //                       run the register allocator after the pipeline on
 //                       every unit; reports gain per-function and total
@@ -88,8 +84,6 @@ int usage(const char *Argv0, bool Help = false) {
   std::fprintf(
       Help ? stdout : stderr,
       "usage: %s DIR|FILE... [--pipeline=new|standard|briggs|briggs*]\n"
-      "       [--analysis=fast|legacy|dsu+sparse|chk+dense|dsu+dense|"
-      "chk+sparse]\n"
       "       [--machine=uniformN|dsp|embedded] [--passes=sccp,adce,pre]\n"
       "       [--jobs=N] [--generate=N[:SEED]] [--seed=N] [--json=PATH]\n"
       "       [--no-timings] [--cache[=BYTES]]\n"
@@ -115,12 +109,6 @@ bool parseArgs(int Argc, char **Argv, BatchOptions &Opts) {
         Opts.Service.Pipeline = PipelineKind::BriggsImproved;
       else {
         std::fprintf(stderr, "unknown pipeline '%s'\n", Name.c_str());
-        return false;
-      }
-    } else if (Arg.rfind("--analysis=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--analysis="));
-      if (!parseAnalysisStrategy(Name, Opts.Service.Analyses)) {
-        std::fprintf(stderr, "unknown analysis strategy '%s'\n", Name.c_str());
         return false;
       }
     } else if (Arg.rfind("--machine=", 0) == 0) {

@@ -10,11 +10,6 @@
 //
 //   --suite=NAME   which suite to run (required): 'ci' is the perf gate's
 //                  workload, 'smoke' a seconds-long variant for ctest
-//   --analysis=fast|legacy|dsu+sparse|chk+dense|dsu+dense|chk+sparse
-//                  analysis strategy for the pipeline/* benchmarks (default
-//                  fast); the per-analysis benchmarks (domtree/build,
-//                  liveness/solve, liveness/sparse_solve) pin their own
-//                  algorithm so A/B artifacts stay comparable
 //   --out=PATH     write the JSON report to PATH ('-' for stdout, default)
 //   --warmup=N     override the suite's warmup iterations
 //   --repeats=N    override the suite's timed repetitions
@@ -84,7 +79,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -165,11 +159,8 @@ std::string scaleTag(const SuiteParams &P) {
 }
 
 /// Builds the benchmark list for \p P. Every suite runs the same names so
-/// baselines stay comparable; only the workload sizes differ. \p Analyses
-/// backs the pipeline/* runs; the per-analysis benchmarks pin their own
-/// algorithm regardless.
-std::vector<Benchmark> buildSuite(const SuiteParams &P,
-                                  AnalysisStrategy Analyses) {
+/// baselines stay comparable; only the workload sizes differ.
+std::vector<Benchmark> buildSuite(const SuiteParams &P) {
   std::vector<Benchmark> Benches;
   std::string Tag = scaleTag(P);
 
@@ -178,11 +169,10 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P,
   auto AddPipeline = [&](const char *Name, PipelineKind Kind) {
     auto Specs =
         std::make_shared<std::vector<RoutineSpec>>(paperSuite(P.PaperRoutines));
-    Benches.push_back({Name, Tag, [Specs, Kind, Analyses]() -> size_t {
+    Benches.push_back({Name, Tag, [Specs, Kind]() -> size_t {
                          size_t Peak = 0;
                          PipelineOptions Opts;
                          Opts.Kind = Kind;
-                         Opts.Analyses = Analyses;
                          for (const RoutineSpec &Spec : *Specs) {
                            auto M = Spec.materialize();
                            for (auto &F : M->functions()) {
@@ -259,23 +249,13 @@ std::vector<Benchmark> buildSuite(const SuiteParams &P,
   // generated SSA function (guards Tables 1 and 3's structure costs).
   auto Fix = std::make_shared<SSAFixture>(P.GenBudget, /*Seed=*/77);
 
-  // Liveness over the identical SSA function in its two modes: solve
-  // accepts any input, sparse_solve also checks the SSA preconditions. Both
-  // run the one per-variable solver, so the pair shows what the checks
-  // cost. domtree/build pins the DSU algorithm (the CHK cost is visible
-  // through pipeline/* under --analysis=legacy).
   Benches.push_back({"liveness/solve", Tag, [Fix]() -> size_t {
-                       Liveness LV(*Fix->F, LivenessAlgorithm::Dense);
-                       return LV.bytes();
-                     }});
-
-  Benches.push_back({"liveness/sparse_solve", Tag, [Fix]() -> size_t {
-                       Liveness LV(*Fix->F, LivenessAlgorithm::Sparse);
+                       Liveness LV(*Fix->F);
                        return LV.bytes();
                      }});
 
   Benches.push_back({"domtree/build", Tag, [Fix]() -> size_t {
-                       DominatorTree DT(*Fix->F, DomAlgorithm::DSU);
+                       DominatorTree DT(*Fix->F);
                        return DT.bytes();
                      }});
 
@@ -623,9 +603,9 @@ void writeJson(std::FILE *Out, const std::string &Suite, unsigned Warmup,
 /// with 2.
 int usage(const char *Argv0, bool Help = false) {
   std::fprintf(Help ? stdout : stderr,
-               "usage: %s --suite=ci|smoke [--analysis=fast|legacy|...]\n"
-               "       [--out=PATH] [--warmup=N] [--repeats=N] [--quality] "
-               "[--list]\n",
+               "usage: %s --suite=ci|smoke [--out=PATH] [--warmup=N] "
+               "[--repeats=N]\n"
+               "       [--quality] [--list]\n",
                Argv0);
   return Help ? 0 : 2;
 }
@@ -639,19 +619,11 @@ int main(int Argc, char **Argv) {
   int64_t WarmupOverride = -1, RepeatsOverride = -1;
   bool ListOnly = false;
   bool Quality = false;
-  AnalysisStrategy Analyses;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg.rfind("--suite=", 0) == 0) {
       Suite = Arg.substr(8);
-    } else if (Arg.rfind("--analysis=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--analysis="));
-      if (!parseAnalysisStrategy(Name, Analyses)) {
-        std::fprintf(stderr, "fcc-bench: unknown analysis strategy '%s'\n",
-                     Name.c_str());
-        return 2;
-      }
     } else if (Arg.rfind("--out=", 0) == 0) {
       OutPath = Arg.substr(6);
     } else if (Arg.rfind("--warmup=", 0) == 0) {
@@ -730,7 +702,7 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  std::vector<Benchmark> Benches = buildSuite(Params, Analyses);
+  std::vector<Benchmark> Benches = buildSuite(Params);
   if (ListOnly) {
     for (const Benchmark &B : Benches)
       std::printf("%s (%s)\n", B.Name.c_str(), B.Workload.c_str());

@@ -7,10 +7,6 @@
 //   fcc-opt FILE.ir [options]
 //
 //   --pipeline=new|standard|briggs|briggs*   conversion to run (default new)
-//   --analysis=fast|legacy|dsu+sparse|chk+dense|dsu+dense|chk+sparse
-//                     dominator / liveness implementations backing the
-//                     pipeline (default fast = dsu+sparse); output is
-//                     byte-identical across choices, only build time moves
 //   --machine=uniformN|dsp|embedded
 //                     run the register allocator after the pipeline: color
 //                     against that machine's banks, inserting spill/reload
@@ -70,7 +66,6 @@ namespace {
 struct DriverOptions {
   std::string InputPath;
   std::optional<PipelineKind> Pipeline = PipelineKind::New;
-  AnalysisStrategy Analyses;
   std::optional<MachineModel> Machine;
   std::vector<PassKind> Passes;
   bool SsaOnly = false;
@@ -91,8 +86,6 @@ struct DriverOptions {
 int usage(const char *Argv0, bool Help = false) {
   std::fprintf(Help ? stdout : stderr,
                "usage: %s FILE.ir [--pipeline=new|standard|briggs|briggs*]\n"
-               "       [--analysis=fast|legacy|dsu+sparse|chk+dense|"
-               "dsu+dense|chk+sparse]\n"
                "       [--machine=uniformN|dsp|embedded] "
                "[--passes=sccp,adce,pre]\n"
                "       [--ssa-only] [--no-fold] [--copyprop] [--dce] "
@@ -135,12 +128,6 @@ bool parseArgs(int Argc, char **Argv, DriverOptions &Opts) {
         Opts.Pipeline = PipelineKind::BriggsImproved;
       else {
         std::fprintf(stderr, "unknown pipeline '%s'\n", Name.c_str());
-        return false;
-      }
-    } else if (Arg.rfind("--analysis=", 0) == 0) {
-      std::string Name = Arg.substr(std::strlen("--analysis="));
-      if (!parseAnalysisStrategy(Name, Opts.Analyses)) {
-        std::fprintf(stderr, "unknown analysis strategy '%s'\n", Name.c_str());
         return false;
       }
     } else if (Arg.rfind("--machine=", 0) == 0) {
@@ -254,7 +241,7 @@ int main(int Argc, char **Argv) {
 
     if (Opts.SsaOnly) {
       splitCriticalEdges(F);
-      DominatorTree DT(F, Opts.Analyses.Dominators);
+      DominatorTree DT(F);
       SSABuildOptions Build;
       Build.FoldCopies = !Opts.NoFold;
       SSABuildStats Stats = buildSSA(F, DT, Build);
@@ -278,7 +265,7 @@ int main(int Argc, char **Argv) {
       // audited before it rewrites anything.
       splitCriticalEdges(F);
       std::optional<DominatorTree> DT;
-      DT.emplace(F, Opts.Analyses.Dominators);
+      DT.emplace(F);
       SSABuildOptions Build;
       Build.FoldCopies = true;
       buildSSA(F, *DT, Build);
@@ -290,9 +277,9 @@ int main(int Argc, char **Argv) {
         PM.Instr = Observe ? &Instr : nullptr;
         runPassSequence(F, Opts.Passes, PM);
         splitCriticalEdges(F);
-        DT.emplace(F, Opts.Analyses.Dominators);
+        DT.emplace(F);
       }
-      Liveness LV(F, Opts.Analyses.Liveness);
+      Liveness LV(F);
       FastCoalescerOptions Coalesce;
       if (Opts.Trace)
         Coalesce.Trace = stderr;
@@ -301,8 +288,10 @@ int main(int Argc, char **Argv) {
       FastCoalescer Coalescer(F, *DT, LV, Coalesce);
       Coalescer.computePartition();
       if (Opts.Check) {
+        // The partition check presumes SSA form, so verify that first.
         std::string CheckError;
-        if (!checkCoalescing(
+        if (!verifySSAForm(F, *DT, CheckError) ||
+            !checkCoalescing(
                 F, LV, [&](const Variable *V) { return Coalescer.rep(V); },
                 CheckError)) {
           std::fprintf(stderr, "@%s: coalescing check FAILED: %s\n",
@@ -334,7 +323,6 @@ int main(int Argc, char **Argv) {
       Instr.Function = F.name();
       PipelineOptions Pipe;
       Pipe.Kind = *Opts.Pipeline;
-      Pipe.Analyses = Opts.Analyses;
       Pipe.Machine = Opts.Machine ? &*Opts.Machine : nullptr;
       Pipe.Passes = Opts.Passes;
       Pipe.Instr = Observe ? &Instr : nullptr;
